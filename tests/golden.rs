@@ -14,8 +14,12 @@
 //! then review the diff of `tests/golden/workloads.txt` like any other
 //! code change.
 
-use cestim::{run, EstimatorSpec, PredictorKind, RunConfig};
+use cestim::sim::run_instrumented;
+use cestim::{run, EstimatorSpec, PipelineConfig, PredictorKind, RunConfig};
+use cestim_exec::fnv1a;
 use cestim_isa::{Machine, Step};
+use cestim_obs::Tracer;
+use cestim_pipeline::NullObserver;
 use cestim_workloads::{WorkloadKind, CHECKSUM_REG};
 use std::fmt::Write as _;
 use std::path::PathBuf;
@@ -154,4 +158,78 @@ fn regenerate_family_snapshots() {
     let path = families_path();
     std::fs::create_dir_all(path.parent().expect("parent dir")).expect("mkdir");
     std::fs::write(&path, render_families()).expect("write golden file");
+}
+
+fn trace_events_path() -> PathBuf {
+    PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests/golden/trace_events.txt")
+}
+
+/// Event kinds in `TraceEvent::kind` spelling, in column order.
+const EVENT_KINDS: [&str; 7] = [
+    "fetch", "predict", "resolve", "commit", "squash", "recovery", "gate",
+];
+
+/// Records the full event stream of one workload under the plain, gated
+/// and eager pipelines, and renders per-kind event counts plus the FNV-1a
+/// hash of the JSONL the tracer exports (the `--trace-out` bytes). Any
+/// change to which events fire, their order, their cycles or their
+/// payloads fails the diff.
+fn render_trace_events() -> String {
+    let mut out = String::from(
+        "# config events fetch predict resolve commit squash recovery gate jsonl_fnv1a\n\
+         # workload: compress scale 1, gshare + enhanced JRS | regenerate: cargo test --test golden -- --ignored regenerate_trace_event_snapshots\n",
+    );
+    for (name, pipeline) in [
+        ("paper", PipelineConfig::paper()),
+        ("gated", PipelineConfig::paper().with_gating(1)),
+        ("eager", PipelineConfig::paper().with_eager(1)),
+    ] {
+        let mut cfg = RunConfig::paper(WorkloadKind::Compress, 1, PredictorKind::Gshare);
+        cfg.pipeline = pipeline;
+        let inst = run_instrumented(
+            &cfg,
+            &[EstimatorSpec::jrs_paper()],
+            Tracer::unbounded(),
+            &mut NullObserver,
+        );
+        assert_eq!(inst.tracer.dropped(), 0, "unbounded tracer must not drop");
+        let mut counts = [0u64; EVENT_KINDS.len()];
+        for ev in inst.tracer.events() {
+            let i = EVENT_KINDS
+                .iter()
+                .position(|&k| k == ev.kind())
+                .expect("known event kind");
+            counts[i] += 1;
+        }
+        let mut jsonl = Vec::new();
+        inst.tracer
+            .export_jsonl(&mut jsonl)
+            .expect("export to memory");
+        write!(out, "{name} {}", inst.tracer.len()).expect("write to string");
+        for c in counts {
+            write!(out, " {c}").expect("write to string");
+        }
+        writeln!(out, " {:016x}", fnv1a(&jsonl)).expect("write to string");
+    }
+    out
+}
+
+#[test]
+fn trace_event_snapshots_match() {
+    let expected = std::fs::read_to_string(trace_events_path())
+        .expect("tests/golden/trace_events.txt missing — run the regenerate test");
+    let actual = render_trace_events();
+    assert_eq!(
+        actual, expected,
+        "the traced event stream drifted from the committed golden snapshot; \
+         if the change is intentional, regenerate (see file header) and review"
+    );
+}
+
+#[test]
+#[ignore = "rewrites the golden file; run explicitly after intentional event-stream changes"]
+fn regenerate_trace_event_snapshots() {
+    let path = trace_events_path();
+    std::fs::create_dir_all(path.parent().expect("parent dir")).expect("mkdir");
+    std::fs::write(&path, render_trace_events()).expect("write golden file");
 }
