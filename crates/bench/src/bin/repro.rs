@@ -97,14 +97,14 @@ use cestim_exec::{
 };
 use cestim_obs::monitor::RunMonitor;
 use cestim_obs::span2::{self, SpanCollector, SpanId};
-use cestim_obs::{render_timing_table, MetricValue, PhaseProfiler, Registry, Span, Tracer};
+use cestim_obs::{render_timing_table, MetricValue, PhaseProfiler, Registry, Tracer};
 use cestim_pipeline::NullObserver;
 use cestim_sim::{run_instrumented, suite, EstimatorSpec, PredictorKind, RunConfig};
 use cestim_workloads::WorkloadKind;
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 struct Args {
     scale: u32,
@@ -693,15 +693,16 @@ fn main() -> ExitCode {
         }
         let phase = static_id(id).map(|name| profiler.phase(name));
         let started = profiler.start();
-        let span = Span::begin(id.clone());
+        let span = span2::AmbientSpan::enter(id, &[]);
+        let span_start = Instant::now();
         match suite::run_experiment_checked(&exec, id, args.scale) {
             Some(Ok(r)) => {
                 println!("{}\n{}", r.title, r.text);
                 if r.id == "ext-modern" {
                     modern = r.json.clone();
                 }
-                let timing = span.end();
-                let seconds = timing.nanos as f64 / 1e9;
+                drop(span);
+                let seconds = span_start.elapsed().as_nanos() as f64 / 1e9;
                 println!("[{id} done in {seconds:.1}s]\n");
                 experiment_spans.push(serde_json::json!({ "id": id, "seconds": seconds }));
                 match cestim_bench::write_artifacts(&args.out, id, &r.text, &r.json) {

@@ -590,9 +590,11 @@ fn run_instrumented(args: &Args) -> std::io::Result<()> {
             PredictorKind::Gshare.build_any(),
         );
         sim.add_estimator(cestim_core::Jrs::paper_enhanced());
-        if trace_writer.is_some() {
-            sim.set_tracer(Tracer::unbounded());
-        }
+        let mut tracer = if trace_writer.is_some() {
+            Tracer::unbounded()
+        } else {
+            Tracer::disabled()
+        };
         if args.obs_summary || spans.enabled() {
             sim.set_profiling(true);
         }
@@ -605,12 +607,12 @@ fn run_instrumented(args: &Args) -> std::io::Result<()> {
             let _ambient = spans
                 .enabled()
                 .then(|| span2::set_ambient(&spans, root.id(), "main"));
-            let _ = sim.run_to_completion();
+            let _ = sim.run(&mut tracer);
             drop(_ambient);
             buf.close(root);
         }
         if let Some(writer) = &mut trace_writer {
-            for ev in sim.tracer().events() {
+            for ev in tracer.events() {
                 writer.write(ev)?;
             }
         }

@@ -6,8 +6,6 @@
 //!   al. (ISCA 1998): `cargo run --release -p cestim-bench --bin repro --
 //!   all` writes text and JSON per experiment under `results/`.
 //! * `speed` binary — quick pipeline-throughput smoke check per workload.
-//! * Criterion benches (`predictors`, `estimators`, `pipeline`, `tables`) —
-//!   component throughput and per-experiment timing/ablation benches.
 //!
 //! This crate intentionally contains no library logic beyond shared helper
 //! functions for its binaries; all measurement code lives in `cestim-sim`.

@@ -2,7 +2,7 @@
 //!
 //! Observability substrate for the cestim workspace: a metrics registry,
 //! a structured event tracer, causal span tracing with standard-format
-//! exporters, and wall-clock profiling spans.
+//! exporters, and wall-clock phase profiling.
 //!
 //! The paper's entire contribution is *measurement* — quadrant counts,
 //! SENS/SPEC/PVP/PVN, misprediction-distance histograms over the
@@ -16,8 +16,10 @@
 //! * [`Tracer`] — a bounded ring buffer of owned [`TraceEvent`]s
 //!   (fetch/predict/resolve/commit/squash/recovery/gate) behind a
 //!   near-zero-cost [`Tracer::enabled`] guard, with JSONL export
-//!   ([`TraceWriter`]) and a reader ([`read_trace_jsonl`]) so analyses can
-//!   replay a recorded run post-hoc.
+//!   ([`TraceWriter`]) and one streaming reader ([`TraceReader`], collected
+//!   by [`read_trace_jsonl`]) so analyses can replay a recorded run
+//!   post-hoc. `cestim-pipeline` implements its `SimObserver` for
+//!   `Tracer`: a trace is recorded by attaching the tracer as an observer.
 //! * [`span2`] — causal, hierarchical span tracing: a
 //!   [`SpanCollector`](span2::SpanCollector) gathers parent-linked
 //!   [`SpanRecord`](span2::SpanRecord)s from per-thread buffers, merged
@@ -33,10 +35,9 @@
 //!   ([`cancel::arm`] / [`cancel::current`]) that the simulator hot loop
 //!   polls every N cycles so overdue jobs release their worker instead
 //!   of running to completion (see docs/RESILIENCE.md).
-//! * [`Span`] / [`ScopedTimer`] / [`PhaseProfiler`] — wall-clock
-//!   profiling around pipeline phases and suite experiments, rendered
-//!   with [`render_timing_table`]; thin wrappers that also feed the
-//!   [`span2`] collector when an ambient context is installed.
+//! * [`PhaseProfiler`] — wall-clock sums per pipeline phase, rendered
+//!   with [`render_timing_table`] and published to the [`span2`]
+//!   collector as summary spans when an ambient context is installed.
 
 #![warn(missing_docs)]
 
@@ -53,7 +54,5 @@ pub use metrics::{
     Counter, FloatGauge, Gauge, Histogram, HistogramBucket, HistogramSnapshot, MetricSample,
     MetricValue, MetricsSnapshot, Registry, BUCKET_COUNT,
 };
-pub use span::{
-    render_timing_table, PhaseId, PhaseProfiler, PhaseTiming, ScopedTimer, Span, SpanTiming,
-};
-pub use trace::{read_trace_jsonl, TraceEvent, TraceWriter, Tracer};
+pub use span::{render_timing_table, PhaseId, PhaseProfiler, PhaseTiming};
+pub use trace::{read_trace_jsonl, TraceEvent, TraceReader, TraceWriter, Tracer};

@@ -1,111 +1,14 @@
-//! Wall-clock profiling: RAII spans, scoped timers, and a start/stop
-//! phase profiler for tight simulator loops.
+//! Wall-clock phase profiling for tight simulator loops.
 //!
-//! These are thin wrappers over the causal span collector in
-//! [`span2`](crate::span2): when the current thread has an ambient span
-//! context installed (see [`span2::set_ambient`](crate::span2::set_ambient)),
-//! every [`Span`], named [`ScopedTimer`], and finished [`PhaseProfiler`]
-//! also records a parent-linked [`SpanRecord`](crate::span2::SpanRecord),
-//! so legacy call sites show up in exported traces for free. Without an
-//! ambient context they behave exactly as before — plain local sums.
+//! A [`PhaseProfiler`] accumulates per-phase sums. Under an ambient span
+//! context (see [`span2::set_ambient`](crate::span2::set_ambient)) it also
+//! publishes those sums as parent-linked
+//! [`SpanRecord`](crate::span2::SpanRecord)s; coarse regions are timed
+//! with [`span2::AmbientSpan`](crate::span2::AmbientSpan) directly.
 
 use crate::span2;
 use serde::{Deserialize, Serialize};
 use std::time::Instant;
-
-/// A named wall-clock interval, closed explicitly with [`Span::end`].
-///
-/// Under an ambient span context the interval is also recorded as a
-/// causal span (nested under whatever span is currently open on this
-/// thread).
-#[derive(Debug)]
-pub struct Span {
-    name: String,
-    start: Instant,
-    span2: Option<span2::OpenSpan>,
-}
-
-impl Span {
-    /// Starts a span now.
-    pub fn begin(name: impl Into<String>) -> Span {
-        let name = name.into();
-        let span2 = span2::ambient_active().then(|| span2::ambient_begin(&name, &[]));
-        Span {
-            name,
-            start: Instant::now(),
-            span2,
-        }
-    }
-
-    /// Ends the span, returning its timing.
-    pub fn end(self) -> SpanTiming {
-        if let Some(open) = self.span2 {
-            span2::ambient_end(open);
-        }
-        SpanTiming {
-            name: self.name,
-            nanos: self.start.elapsed().as_nanos() as u64,
-        }
-    }
-}
-
-/// Result of a closed [`Span`].
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
-pub struct SpanTiming {
-    /// Span name.
-    pub name: String,
-    /// Elapsed wall-clock nanoseconds.
-    pub nanos: u64,
-}
-
-/// RAII timer accumulating elapsed nanoseconds into a caller-owned slot on
-/// drop. Useful where the accumulator outlives the timed scope:
-///
-/// ```
-/// let mut nanos = 0u64;
-/// {
-///     let _t = cestim_obs::ScopedTimer::new(&mut nanos);
-///     // ... timed work ...
-/// }
-/// // `nanos` now holds the elapsed time.
-/// ```
-#[derive(Debug)]
-pub struct ScopedTimer<'a> {
-    acc: &'a mut u64,
-    start: Instant,
-    span2: Option<span2::OpenSpan>,
-}
-
-impl<'a> ScopedTimer<'a> {
-    /// Starts timing into `acc`.
-    pub fn new(acc: &'a mut u64) -> ScopedTimer<'a> {
-        ScopedTimer {
-            acc,
-            start: Instant::now(),
-            span2: None,
-        }
-    }
-
-    /// Starts timing into `acc` and, under an ambient span context, also
-    /// records the scope as a named causal span.
-    pub fn named(name: &str, acc: &'a mut u64) -> ScopedTimer<'a> {
-        let span2 = span2::ambient_active().then(|| span2::ambient_begin(name, &[]));
-        ScopedTimer {
-            acc,
-            start: Instant::now(),
-            span2,
-        }
-    }
-}
-
-impl Drop for ScopedTimer<'_> {
-    fn drop(&mut self) {
-        *self.acc += self.start.elapsed().as_nanos() as u64;
-        if let Some(open) = self.span2.take() {
-            span2::ambient_end(open);
-        }
-    }
-}
 
 /// Accumulated wall-clock time for one named phase.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
@@ -263,21 +166,6 @@ mod tests {
     use super::*;
 
     #[test]
-    fn scoped_timer_accumulates() {
-        let mut nanos = 0u64;
-        {
-            let _t = ScopedTimer::new(&mut nanos);
-            std::hint::black_box((0..1000).sum::<u64>());
-        }
-        // Time passed (can be small, but the drop ran).
-        let first = nanos;
-        {
-            let _t = ScopedTimer::new(&mut nanos);
-        }
-        assert!(nanos >= first);
-    }
-
-    #[test]
     fn profiler_records_only_when_enabled() {
         let mut off = PhaseProfiler::new(false);
         let p = off.phase("fetch");
@@ -305,15 +193,14 @@ mod tests {
     }
 
     #[test]
-    fn nested_wrapper_spans_nest_causally() {
-        use crate::span2::{set_ambient, SpanCollector, SpanId};
+    fn phase_spans_nest_under_ambient_spans() {
+        use crate::span2::{set_ambient, AmbientSpan, SpanCollector, SpanId};
         let c = SpanCollector::new();
         let _g = set_ambient(&c, SpanId::NONE, "main");
 
-        let outer = Span::begin("outer");
-        let mut acc = 0u64;
+        let outer = AmbientSpan::enter("outer", &[]);
         {
-            let _t = ScopedTimer::named("inner", &mut acc);
+            let _inner = AmbientSpan::enter("inner", &[]);
             let mut prof = PhaseProfiler::new(true);
             let p = prof.phase("fetch");
             let t0 = prof.start();
@@ -321,7 +208,7 @@ mod tests {
             prof.stop(p, t0);
             prof.emit_ambient_spans();
         }
-        outer.end();
+        drop(outer);
 
         let recs = c.drain();
         let find = |name: &str| recs.iter().find(|r| r.name == name).unwrap();
@@ -354,21 +241,20 @@ mod tests {
     }
 
     #[test]
-    fn wrappers_without_ambient_context_record_nothing() {
+    fn profiler_without_ambient_context_records_no_spans() {
         let c = crate::span2::SpanCollector::new();
         // No ambient context installed: plain timing still works.
-        let t = Span::begin("plain").end();
-        assert_eq!(t.name, "plain");
-        let mut acc = 0;
-        drop(ScopedTimer::named("x", &mut acc));
+        let mut prof = PhaseProfiler::new(true);
+        let p = prof.phase("fetch");
+        let t0 = prof.start();
+        prof.stop(p, t0);
+        prof.emit_ambient_spans();
+        assert_eq!(prof.timings()[0].calls, 1);
         assert!(c.drain().is_empty());
     }
 
     #[test]
-    fn span_and_table() {
-        let s = Span::begin("experiment");
-        let timing = s.end();
-        assert_eq!(timing.name, "experiment");
+    fn timing_table_shows_shares() {
         let table = render_timing_table(&[
             PhaseTiming {
                 name: "fetch".into(),

@@ -8,11 +8,11 @@
 //!   span appends to a plain `Vec`, and the shared sink lock is taken only
 //!   when the buffer fills or is dropped (flush batching), so concurrent
 //!   recorders never contend per span.
-//! * **Ambient path** — low-frequency call sites (experiment wrappers,
+//! * **Ambient path** — low-frequency call sites (experiment spans,
 //!   phase summaries) use a thread-local *ambient context* installed with
-//!   [`set_ambient`]; [`Span`](crate::Span), `ScopedTimer` and
-//!   `PhaseProfiler` route through it, maintaining an implicit
-//!   parent stack so nested wrappers nest causally.
+//!   [`set_ambient`]; [`AmbientSpan`] and `PhaseProfiler` route through
+//!   it, maintaining an implicit parent stack so nested spans nest
+//!   causally.
 //!
 //! All recording is gated on the collector being enabled; a
 //! [`SpanCollector::disabled`] collector makes every call a cheap no-op
@@ -396,8 +396,8 @@ thread_local! {
 }
 
 /// Installs `collector` as this thread's ambient span context: subsequent
-/// [`Span`](crate::Span) / `ScopedTimer` / `PhaseProfiler` activity on
-/// this thread is recorded as spans parented under `root`.
+/// [`AmbientSpan`] / `PhaseProfiler` activity on this thread is recorded
+/// as spans parented under `root`.
 ///
 /// Returns a guard; the previous ambient context is restored when it
 /// drops. Installing a disabled collector effectively suspends ambient
@@ -538,7 +538,7 @@ impl Drop for AmbientSpan {
 }
 
 /// Returns `true` when `collector` is the ambient collector of this
-/// thread (used by tests and wrappers to avoid double-recording).
+/// thread (used by tests and callers to avoid double-recording).
 pub fn ambient_is(collector: &SpanCollector) -> bool {
     AMBIENT.with(|a| {
         a.borrow()

@@ -297,34 +297,67 @@ impl<W: Write> TraceWriter<W> {
     }
 }
 
-/// Reads a JSONL event stream written by [`TraceWriter`] (blank lines are
-/// skipped).
+/// Streaming reader of a JSONL event stream written by [`TraceWriter`]:
+/// yields one event per line, skipping blank lines.
 ///
 /// A malformed **final** line is tolerated and dropped: a crash (or a
 /// full disk) mid-append leaves a torn last record, and — like the exec
 /// journal's resume path — everything up to it is still valid history.
 /// Malformed lines anywhere *before* the end still indicate a corrupt
-/// file and are an error.
+/// file and end the stream with an error. Telling the two apart needs
+/// one line of lookahead, read only after a line fails to parse.
+#[derive(Debug)]
+pub struct TraceReader<R> {
+    lines: io::Lines<R>,
+    /// Set after an error: the lookahead line is already consumed, so the
+    /// stream cannot resume where it failed.
+    failed: bool,
+}
+
+impl<R: BufRead> TraceReader<R> {
+    /// Wraps a buffered reader.
+    pub fn new(r: R) -> TraceReader<R> {
+        TraceReader {
+            lines: r.lines(),
+            failed: false,
+        }
+    }
+
+    fn next_line(&mut self) -> Option<io::Result<String>> {
+        self.lines
+            .find(|l| !matches!(l, Ok(l) if l.trim().is_empty()))
+    }
+}
+
+impl<R: BufRead> Iterator for TraceReader<R> {
+    type Item = io::Result<TraceEvent>;
+
+    fn next(&mut self) -> Option<io::Result<TraceEvent>> {
+        if self.failed {
+            return None;
+        }
+        let err = match self.next_line()? {
+            Ok(line) => match serde_json::from_str(&line) {
+                Ok(ev) => return Some(Ok(ev)),
+                Err(_) if self.next_line().is_none() => return None,
+                Err(e) => e.into(),
+            },
+            Err(e) => e,
+        };
+        self.failed = true;
+        Some(Err(err))
+    }
+}
+
+/// Reads a whole JSONL event stream (see [`TraceReader`] for the torn
+/// final line policy).
 ///
 /// # Errors
 ///
 /// Returns an error on I/O failure or malformed JSON before the final
 /// line.
 pub fn read_trace_jsonl<R: BufRead>(r: R) -> io::Result<Vec<TraceEvent>> {
-    let lines: Vec<String> = r.lines().collect::<io::Result<_>>()?;
-    let last = lines.iter().rposition(|l| !l.trim().is_empty());
-    let mut out = Vec::new();
-    for (i, line) in lines.iter().enumerate() {
-        if line.trim().is_empty() {
-            continue;
-        }
-        match serde_json::from_str(line) {
-            Ok(ev) => out.push(ev),
-            Err(_) if Some(i) == last => break,
-            Err(e) => return Err(e.into()),
-        }
-    }
-    Ok(out)
+    TraceReader::new(r).collect()
 }
 
 #[cfg(test)]
@@ -470,5 +503,21 @@ mod tests {
 
         // A torn-only file recovers to empty rather than erroring.
         assert_eq!(read_trace_jsonl(&b"{broken"[..]).unwrap().len(), 0);
+
+        // Blank lines after the tear do not make it a mid-file error.
+        let mut padded = torn.to_vec();
+        padded.extend_from_slice(b"\n\n  \n");
+        assert_eq!(read_trace_jsonl(padded.as_slice()).unwrap(), recovered);
+    }
+
+    #[test]
+    fn reader_stops_after_a_mid_file_error() {
+        let mut buf = b"{broken\n".to_vec();
+        let mut t = Tracer::bounded(4);
+        t.record(predict(1));
+        t.export_jsonl(&mut buf).unwrap();
+        let items: Vec<_> = TraceReader::new(buf.as_slice()).collect();
+        assert_eq!(items.len(), 1);
+        assert!(items[0].is_err());
     }
 }

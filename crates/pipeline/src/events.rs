@@ -1,6 +1,25 @@
 //! Observer hooks for pipeline-level measurements.
+//!
+//! [`SimObserver`] is the one channel events leave the simulators by.
+//! Event tracing is an observer too: [`Tracer`] records each hook as an
+//! owned [`TraceEvent`], so a `--trace-out` stream is exactly what every
+//! other observer saw.
 
 use cestim_core::Confidence;
+use cestim_obs::{TraceEvent, Tracer};
+
+/// A non-empty fetch burst: the instructions fetched in one cycle.
+///
+/// Reported once per cycle, after the burst's branches were predicted.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct FetchEvent {
+    /// Cycle of the burst.
+    pub cycle: u64,
+    /// PC of the first instruction fetched.
+    pub pc: u32,
+    /// Instructions fetched this cycle (at least 1).
+    pub count: u32,
+}
 
 /// A branch entering the pipeline (prediction/decode time).
 ///
@@ -107,6 +126,12 @@ pub struct GateEvent {
 /// `cestim-trace` provides collectors (distance histograms, clustering,
 /// full traces) built on this trait.
 pub trait SimObserver {
+    /// A cycle's fetch burst ended having fetched at least one
+    /// instruction.
+    fn on_fetch(&mut self, ev: &FetchEvent) {
+        let _ = ev;
+    }
+
     /// A branch was fetched, predicted and confidence-estimated.
     fn on_branch_predicted(&mut self, ev: &PredictEvent<'_>) {
         let _ = ev;
@@ -152,6 +177,11 @@ impl<'a> MultiObserver<'a> {
 }
 
 impl SimObserver for MultiObserver<'_> {
+    fn on_fetch(&mut self, ev: &FetchEvent) {
+        for o in &mut self.observers {
+            o.on_fetch(ev);
+        }
+    }
     fn on_branch_predicted(&mut self, ev: &PredictEvent<'_>) {
         for o in &mut self.observers {
             o.on_branch_predicted(ev);
@@ -179,12 +209,101 @@ impl SimObserver for MultiObserver<'_> {
     }
 }
 
+/// Records every hook as the matching [`TraceEvent`]; `on_branch_outcome`
+/// becomes `Commit` or `Squash`. A disabled tracer skips building the
+/// owned event.
+impl SimObserver for Tracer {
+    fn on_fetch(&mut self, ev: &FetchEvent) {
+        if self.enabled() {
+            self.record(TraceEvent::Fetch {
+                cycle: ev.cycle,
+                pc: ev.pc,
+                count: ev.count,
+            });
+        }
+    }
+
+    fn on_branch_predicted(&mut self, ev: &PredictEvent<'_>) {
+        if self.enabled() {
+            self.record(TraceEvent::Predict {
+                seq: ev.seq,
+                pc: ev.pc,
+                cycle: ev.cycle,
+                predicted_taken: ev.predicted_taken,
+                actual_taken: ev.actual_taken,
+                mispredicted: ev.mispredicted,
+                ghr: ev.ghr,
+                estimates: ev.estimates.to_vec(),
+            });
+        }
+    }
+
+    fn on_branch_resolved(&mut self, ev: &ResolveEvent) {
+        if self.enabled() {
+            self.record(TraceEvent::Resolve {
+                seq: ev.seq,
+                pc: ev.pc,
+                cycle: ev.cycle,
+                mispredicted: ev.mispredicted,
+            });
+        }
+    }
+
+    fn on_branch_outcome(&mut self, ev: &OutcomeEvent<'_>) {
+        if !self.enabled() {
+            return;
+        }
+        macro_rules! outcome {
+            ($variant:ident) => {
+                TraceEvent::$variant {
+                    seq: ev.seq,
+                    pc: ev.pc,
+                    predicted_taken: ev.predicted_taken,
+                    actual_taken: ev.actual_taken,
+                    mispredicted: ev.mispredicted,
+                    fetch_cycle: ev.fetch_cycle,
+                    resolve_cycle: ev.resolve_cycle,
+                    ghr: ev.ghr,
+                    estimates: ev.estimates.to_vec(),
+                }
+            };
+        }
+        self.record(if ev.committed {
+            outcome!(Commit)
+        } else {
+            outcome!(Squash)
+        });
+    }
+
+    fn on_recovery(&mut self, ev: &RecoveryEvent) {
+        if self.enabled() {
+            self.record(TraceEvent::Recovery {
+                seq: ev.seq,
+                pc: ev.pc,
+                cycle: ev.cycle,
+                squashed: ev.squashed,
+                penalty: ev.penalty,
+            });
+        }
+    }
+
+    fn on_fetch_gated(&mut self, ev: &GateEvent) {
+        if self.enabled() {
+            self.record(TraceEvent::Gate {
+                cycle: ev.cycle,
+                low_confidence: ev.low_confidence,
+            });
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[derive(Default)]
     struct Counter {
+        fetched: u32,
         predicted: u32,
         resolved: u32,
         outcomes: u32,
@@ -193,6 +312,9 @@ mod tests {
     }
 
     impl SimObserver for Counter {
+        fn on_fetch(&mut self, _: &FetchEvent) {
+            self.fetched += 1;
+        }
         fn on_branch_predicted(&mut self, _: &PredictEvent<'_>) {
             self.predicted += 1;
         }
@@ -211,6 +333,11 @@ mod tests {
     }
 
     fn sample_events(obs: &mut dyn SimObserver) {
+        obs.on_fetch(&FetchEvent {
+            cycle: 10,
+            pc: 0,
+            count: 2,
+        });
         obs.on_branch_predicted(&PredictEvent {
             seq: 0,
             pc: 4,
@@ -266,11 +393,26 @@ mod tests {
             sample_events(&mut m);
         }
         for c in [&a, &b] {
+            assert_eq!(c.fetched, 1);
             assert_eq!(c.predicted, 1);
             assert_eq!(c.resolved, 1);
             assert_eq!(c.outcomes, 1);
             assert_eq!(c.recoveries, 1);
             assert_eq!(c.gated, 1);
         }
+    }
+
+    #[test]
+    fn tracer_records_one_event_per_hook_in_order() {
+        let mut t = Tracer::unbounded();
+        sample_events(&mut t);
+        let kinds: Vec<&str> = t.events().map(TraceEvent::kind).collect();
+        assert_eq!(
+            kinds,
+            ["fetch", "predict", "resolve", "commit", "recovery", "gate"]
+        );
+        let mut off = Tracer::disabled();
+        sample_events(&mut off);
+        assert!(off.is_empty());
     }
 }

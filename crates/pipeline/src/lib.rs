@@ -38,7 +38,7 @@ mod stats;
 pub use cache::{Cache, CacheAccess};
 pub use config::{CacheConfig, PipelineConfig};
 pub use events::{
-    GateEvent, MultiObserver, NullObserver, OutcomeEvent, PredictEvent, RecoveryEvent,
+    FetchEvent, GateEvent, MultiObserver, NullObserver, OutcomeEvent, PredictEvent, RecoveryEvent,
     ResolveEvent, SimObserver,
 };
 pub use replay::TraceSimulator;

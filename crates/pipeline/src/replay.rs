@@ -27,7 +27,7 @@
 //!   live.
 
 use crate::{Cache, EstimatorQuadrants, PipelineConfig, PipelineStats};
-use crate::{GateEvent, NullObserver, OutcomeEvent, PredictEvent, RecoveryEvent};
+use crate::{FetchEvent, GateEvent, NullObserver, OutcomeEvent, PredictEvent, RecoveryEvent};
 use crate::{ResolveEvent, SimObserver};
 use cestim_bpred::{AnyPredictor, BranchPredictor, HistoryRegister, Prediction};
 use cestim_core::{AnyEstimator, Confidence, ConfidenceEstimator};
@@ -351,9 +351,10 @@ impl<'t> TraceSimulator<'t> {
             });
             return;
         }
-        if self.cursor >= self.records.len() {
+        let Some(burst_pc) = self.records.get(self.cursor).map(|r| r.pc) else {
             return;
-        }
+        };
+        let arch_before = self.arch_insts;
         let mut run_line = u32::MAX;
         let mut run_hits = 0u64;
         for _ in 0..self.cfg.fetch_width {
@@ -395,6 +396,15 @@ impl<'t> TraceSimulator<'t> {
         }
         if run_hits > 0 {
             self.icache.repeat_hits(run_hits);
+        }
+        // Reported exactly where the live front end reports its burst.
+        let count = (self.arch_insts - arch_before) as u32;
+        if count > 0 {
+            obs.on_fetch(&FetchEvent {
+                cycle: self.now,
+                pc: burst_pc,
+                count,
+            });
         }
     }
 

@@ -1,12 +1,12 @@
 //! The speculative pipeline simulator.
 
 use crate::{Cache, EstimatorQuadrants, PipelineConfig, PipelineStats};
-use crate::{GateEvent, NullObserver, OutcomeEvent, PredictEvent, RecoveryEvent};
+use crate::{FetchEvent, GateEvent, NullObserver, OutcomeEvent, PredictEvent, RecoveryEvent};
 use crate::{ResolveEvent, SimObserver};
 use cestim_bpred::{AnyPredictor, BranchPredictor, HistoryRegister, Prediction};
 use cestim_core::{AnyEstimator, Confidence, ConfidenceEstimator};
 use cestim_isa::{AluOp, Checkpoint, Inst, Machine, Program, Reg, Step};
-use cestim_obs::{PhaseProfiler, PhaseTiming, Registry, TraceEvent, Tracer};
+use cestim_obs::{PhaseProfiler, PhaseTiming, Registry};
 use cestim_trace_io::TraceRecord;
 use std::collections::VecDeque;
 
@@ -244,7 +244,6 @@ pub struct Simulator<'p> {
     arch_insts: u64,
     arch_branches: u64,
     stats: PipelineStats,
-    tracer: Tracer,
     profiler: PhaseProfiler,
     fault_commit_every: u64,
     fault_commit_seen: u64,
@@ -320,7 +319,6 @@ impl<'p> Simulator<'p> {
             arch_insts: 0,
             arch_branches: 0,
             stats: PipelineStats::default(),
-            tracer: Tracer::disabled(),
             profiler: PhaseProfiler::default(),
             fault_commit_every: 0,
             fault_commit_seen: 0,
@@ -391,23 +389,6 @@ impl<'p> Simulator<'p> {
     pub fn inject_commit_fault(&mut self, every: u64) {
         self.fault_commit_every = every;
         self.fault_commit_seen = 0;
-    }
-
-    /// Installs an event tracer; subsequent pipeline events are recorded
-    /// into it, mirroring the [`SimObserver`] stream. Pass
-    /// [`Tracer::disabled`] to turn tracing back off.
-    pub fn set_tracer(&mut self, tracer: Tracer) {
-        self.tracer = tracer;
-    }
-
-    /// The installed tracer (disabled by default).
-    pub fn tracer(&self) -> &Tracer {
-        &self.tracer
-    }
-
-    /// Removes and returns the tracer, leaving tracing disabled.
-    pub fn take_tracer(&mut self) -> Tracer {
-        std::mem::take(&mut self.tracer)
     }
 
     /// Enables (or disables) per-phase wall-clock profiling of
@@ -748,14 +729,6 @@ impl<'p> Simulator<'p> {
             mispredicted,
             cycle: self.now,
         });
-        if self.tracer.enabled() {
-            self.tracer.record(TraceEvent::Resolve {
-                seq,
-                pc,
-                cycle: self.now,
-                mispredicted,
-            });
-        }
         if mispredicted {
             if self.replay_fetch {
                 self.replay_recover(idx, obs);
@@ -781,15 +754,6 @@ impl<'p> Simulator<'p> {
             squashed: 0,
             penalty,
         });
-        if self.tracer.enabled() {
-            self.tracer.record(TraceEvent::Recovery {
-                seq,
-                pc,
-                cycle: self.now,
-                squashed: 0,
-                penalty,
-            });
-        }
     }
 
     /// Rewinds to the checkpoint of the mispredicted branch at `idx`,
@@ -863,15 +827,6 @@ impl<'p> Simulator<'p> {
             squashed,
             penalty,
         });
-        if self.tracer.enabled() {
-            self.tracer.record(TraceEvent::Recovery {
-                seq,
-                pc,
-                cycle: self.now,
-                squashed,
-                penalty,
-            });
-        }
     }
 
     // ---- commit ----------------------------------------------------------
@@ -949,36 +904,6 @@ impl<'p> Simulator<'p> {
             ghr: e.ghr_at_predict,
             estimates,
         });
-        if self.tracer.enabled() {
-            // Tracing clones the estimate row into the owned event; the
-            // uninstrumented hot path never takes this branch.
-            let event = if committed {
-                TraceEvent::Commit {
-                    seq: e.seq,
-                    pc: e.pc,
-                    predicted_taken: e.pred.taken,
-                    actual_taken,
-                    mispredicted,
-                    fetch_cycle: e.fetch_cycle,
-                    resolve_cycle: e.resolve_cycle,
-                    ghr: e.ghr_at_predict,
-                    estimates: estimates.to_vec(),
-                }
-            } else {
-                TraceEvent::Squash {
-                    seq: e.seq,
-                    pc: e.pc,
-                    predicted_taken: e.pred.taken,
-                    actual_taken,
-                    mispredicted,
-                    fetch_cycle: e.fetch_cycle,
-                    resolve_cycle: e.resolve_cycle,
-                    ghr: e.ghr_at_predict,
-                    estimates: estimates.to_vec(),
-                }
-            };
-            self.tracer.record(event);
-        }
     }
 
     // ---- fetch / decode / execute-at-decode ------------------------------
@@ -1012,12 +937,6 @@ impl<'p> Simulator<'p> {
                 cycle: self.now,
                 low_confidence,
             });
-            if self.tracer.enabled() {
-                self.tracer.record(TraceEvent::Gate {
-                    cycle: self.now,
-                    low_confidence,
-                });
-            }
             return;
         }
         let burst_pc = self.machine.pc();
@@ -1080,17 +999,15 @@ impl<'p> Simulator<'p> {
         if run_hits > 0 {
             self.icache.repeat_hits(run_hits);
         }
-        if self.tracer.enabled() {
-            // Every fetched instruction bumps `arch_insts` exactly once, and
-            // no recovery can run mid-burst.
-            let count = (self.arch_insts - arch_before) as u32;
-            if count > 0 {
-                self.tracer.record(TraceEvent::Fetch {
-                    cycle: self.now,
-                    pc: burst_pc,
-                    count,
-                });
-            }
+        // Every fetched instruction bumps `arch_insts` exactly once, and no
+        // recovery can run mid-burst.
+        let count = (self.arch_insts - arch_before) as u32;
+        if count > 0 {
+            obs.on_fetch(&FetchEvent {
+                cycle: self.now,
+                pc: burst_pc,
+                count,
+            });
         }
     }
 
@@ -1187,18 +1104,6 @@ impl<'p> Simulator<'p> {
             ghr: ghr_val,
             estimates,
         });
-        if self.tracer.enabled() {
-            self.tracer.record(TraceEvent::Predict {
-                seq,
-                pc,
-                cycle: self.now,
-                predicted_taken: pred.taken,
-                actual_taken,
-                mispredicted,
-                ghr: ghr_val,
-                estimates: estimates.to_vec(),
-            });
-        }
 
         self.resolve_track.push_back(resolve_at);
         self.inflight.push_back(Inflight {

@@ -125,13 +125,11 @@ fn run(
 ) -> RunResult {
     let mut sim = Simulator::new(program, PipelineConfig::paper(), pred);
     sim.add_estimator(est);
-    sim.set_tracer(Tracer::unbounded());
-    let stats = sim.run_to_completion();
+    let mut tracer = Tracer::unbounded();
+    let stats = sim.run(&mut tracer);
     let quadrants = sim.estimator_quadrants().to_vec();
     let mut trace = Vec::new();
-    sim.take_tracer()
-        .export_jsonl(&mut trace)
-        .expect("trace export");
+    tracer.export_jsonl(&mut trace).expect("trace export");
     RunResult {
         stats,
         quadrants,

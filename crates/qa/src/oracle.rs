@@ -25,7 +25,9 @@ use cestim_core::{
 use cestim_exec::{Executor, Job};
 use cestim_isa::{Machine, Program, Step};
 use cestim_obs::Tracer;
-use cestim_pipeline::{OutcomeEvent, PipelineConfig, PipelineStats, SimObserver, Simulator};
+use cestim_pipeline::{
+    MultiObserver, OutcomeEvent, PipelineConfig, PipelineStats, SimObserver, Simulator,
+};
 use cestim_trace::{replay_jsonl, DistanceAnalysis, DistanceSeries};
 use serde::{Deserialize, Map, Serialize, Value};
 use std::fmt;
@@ -303,10 +305,9 @@ fn check_replay(p: &QaProgram) -> Result<(), OracleFailure> {
         sim.set_profiling(true);
     }
     sim.add_estimator(Box::new(Jrs::paper_enhanced()));
-    sim.set_tracer(Tracer::unbounded());
+    let mut tracer = Tracer::unbounded();
     let mut live = DistanceAnalysis::new(64);
-    sim.run(&mut live);
-    let tracer = sim.take_tracer();
+    sim.run(&mut MultiObserver::new(vec![&mut live, &mut tracer]));
     if tracer.dropped() > 0 {
         return Err(fail(kind, "unbounded tracer dropped events"));
     }

@@ -4,7 +4,8 @@ use crate::{EstimatorSpec, PredictorKind, ProfileObserver};
 use cestim_core::ProfileCollector;
 use cestim_obs::{span2, MetricsSnapshot, PhaseTiming, Registry, Tracer};
 use cestim_pipeline::{
-    EstimatorQuadrants, NullObserver, PipelineConfig, PipelineStats, SimObserver, Simulator,
+    EstimatorQuadrants, MultiObserver, NullObserver, PipelineConfig, PipelineStats, SimObserver,
+    Simulator,
 };
 use cestim_workloads::WorkloadKind;
 use serde::{Deserialize, Serialize};
@@ -128,13 +129,14 @@ pub struct InstrumentedOutcome {
 }
 
 /// Like [`run`], with full observability: events are recorded into
-/// `tracer` (pass [`Tracer::disabled`] to skip tracing), pipeline phases
-/// are wall-clock profiled, and stats/quadrants/timings are exported to a
-/// metrics registry labelled `workload`/`predictor`/`scale`.
+/// `tracer` next to `obs` (pass [`Tracer::disabled`] to skip tracing),
+/// pipeline phases are wall-clock profiled, and stats/quadrants/timings
+/// are exported to a metrics registry labelled
+/// `workload`/`predictor`/`scale`.
 pub fn run_instrumented(
     cfg: &RunConfig,
     specs: &[EstimatorSpec],
-    tracer: Tracer,
+    mut tracer: Tracer,
     obs: &mut dyn SimObserver,
 ) -> InstrumentedOutcome {
     let own_profile = specs
@@ -148,10 +150,9 @@ pub fn run_instrumented(
     for spec in specs {
         sim.add_estimator(spec.build_any(own_profile.as_ref()));
     }
-    sim.set_tracer(tracer);
     sim.set_profiling(true);
     let t0 = std::time::Instant::now();
-    let stats = sim.run(obs);
+    let stats = sim.run(&mut MultiObserver::new(vec![&mut tracer, obs]));
     let wall_seconds = t0.elapsed().as_secs_f64();
 
     let registry = Registry::new();
@@ -173,7 +174,7 @@ pub fn run_instrumented(
         .collect();
     InstrumentedOutcome {
         outcome: RunOutcome { stats, estimators },
-        tracer: sim.take_tracer(),
+        tracer,
         phase_timings: sim.phase_timings(),
         metrics: registry.snapshot(),
         wall_seconds,

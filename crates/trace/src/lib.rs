@@ -7,7 +7,8 @@
 //! Everything here is built on `cestim-pipeline`'s
 //! [`SimObserver`](cestim_pipeline::SimObserver) hooks, so
 //! the analyses run *streaming* during simulation — no gigabyte traces are
-//! retained unless you explicitly use [`TraceCollector`].
+//! retained unless you attach a `cestim-obs` `Tracer` (itself an
+//! observer) to record the event stream.
 //!
 //! * [`DistanceAnalysis`] — misprediction rate as a function of the distance
 //!   (in branches) to the previous misprediction, in four flavours:
@@ -24,8 +25,6 @@
 //! * [`BoostAnalysis`] — §4.2's boosting, measured the way the paper means
 //!   it: `P[≥1 misprediction | k consecutive low-confidence estimates]`, a
 //!   pipeline-state property validated against the Bernoulli model.
-//! * [`TraceCollector`] / [`BranchRecord`] — retain or serialize the full
-//!   per-branch speculative trace (JSON-lines via serde).
 //! * [`replay`] / [`replay_jsonl`] — feed a recorded `cestim-obs` trace
 //!   back through any observer, reproducing the live analyses post-hoc
 //!   bit-for-bit from a trace file.
@@ -35,11 +34,9 @@
 mod boost;
 mod cluster;
 mod distance;
-mod record;
 mod replay;
 
 pub use boost::BoostAnalysis;
 pub use cluster::{ClusterAnalysis, ClusterSummary};
 pub use distance::{DistanceAnalysis, DistanceHistogram, DistanceSeries};
-pub use record::{read_jsonl, write_jsonl, BranchRecord, TraceCollector};
-pub use replay::{load_trace, replay, replay_event, replay_jsonl};
+pub use replay::{replay, replay_event, replay_jsonl};

@@ -1,28 +1,33 @@
 //! Post-hoc replay of recorded [`TraceEvent`] streams through any
 //! [`SimObserver`].
 //!
-//! A `cestim-obs` trace records pipeline events in exactly the order (and
-//! with exactly the payloads) the live [`SimObserver`] hooks saw them, so
-//! replaying a trace through [`DistanceAnalysis`](crate::DistanceAnalysis),
+//! A `cestim-obs` trace is recorded by a [`Tracer`](cestim_obs::Tracer)
+//! attached as an observer, so it holds pipeline events in exactly the
+//! order (and with exactly the payloads) every live [`SimObserver`] hook
+//! saw them. Replaying a trace through
+//! [`DistanceAnalysis`](crate::DistanceAnalysis),
 //! [`ClusterAnalysis`](crate::ClusterAnalysis) or any other observer
 //! reproduces the live analysis bit-for-bit — without re-running the
 //! simulation.
 
-use cestim_obs::{read_trace_jsonl, TraceEvent};
+use cestim_obs::{TraceEvent, TraceReader};
 use cestim_pipeline::{
-    GateEvent, OutcomeEvent, PredictEvent, RecoveryEvent, ResolveEvent, SimObserver,
+    FetchEvent, GateEvent, OutcomeEvent, PredictEvent, RecoveryEvent, ResolveEvent, SimObserver,
 };
 use std::io::{self, BufRead};
 
 /// Replays one recorded event into an observer.
 ///
-/// `Predict`/`Resolve` map onto the corresponding live hooks; `Commit` and
+/// Each event kind maps onto the hook that recorded it; `Commit` and
 /// `Squash` both map onto [`SimObserver::on_branch_outcome`] (with
-/// `committed` true and false respectively); `Recovery` and `Gate` hit
-/// their hooks; `Fetch` bursts carry no observer hook and are skipped.
+/// `committed` true and false respectively).
 pub fn replay_event(ev: &TraceEvent, obs: &mut dyn SimObserver) {
     match ev {
-        TraceEvent::Fetch { .. } => {}
+        TraceEvent::Fetch { cycle, pc, count } => obs.on_fetch(&FetchEvent {
+            cycle: *cycle,
+            pc: *pc,
+            count: *count,
+        }),
         TraceEvent::Predict {
             seq,
             pc,
@@ -124,34 +129,22 @@ pub fn replay<'e>(
 }
 
 /// Replays a JSONL trace (as written by `cestim-obs`'s `TraceWriter`) into
-/// an observer, streaming line by line. Returns the number of events
+/// an observer, streaming line by line through
+/// [`TraceReader`](cestim_obs::TraceReader): a torn final line is dropped,
+/// exactly as `read_trace_jsonl` drops it. Returns the number of events
 /// replayed.
 ///
 /// # Errors
 ///
-/// Returns an error on I/O failure or malformed JSON.
+/// Returns an error on I/O failure or malformed JSON before the final
+/// line (events before it have already been replayed).
 pub fn replay_jsonl<R: BufRead>(r: R, obs: &mut dyn SimObserver) -> io::Result<u64> {
     let mut n = 0;
-    for line in r.lines() {
-        let line = line?;
-        if line.trim().is_empty() {
-            continue;
-        }
-        let ev: TraceEvent = serde_json::from_str(&line)?;
-        replay_event(&ev, obs);
+    for ev in TraceReader::new(r) {
+        replay_event(&ev?, obs);
         n += 1;
     }
     Ok(n)
-}
-
-/// Convenience: parse a whole JSONL trace into owned events (thin re-export
-/// of `cestim-obs`'s reader for analyses that need random access).
-///
-/// # Errors
-///
-/// Returns an error on I/O failure or malformed JSON.
-pub fn load_trace<R: BufRead>(r: R) -> io::Result<Vec<TraceEvent>> {
-    read_trace_jsonl(r)
 }
 
 #[cfg(test)]
@@ -162,7 +155,7 @@ mod tests {
     use cestim_core::Jrs;
     use cestim_isa::{ProgramBuilder, Reg};
     use cestim_obs::Tracer;
-    use cestim_pipeline::{PipelineConfig, Simulator};
+    use cestim_pipeline::{MultiObserver, PipelineConfig, Simulator};
 
     /// Branch on an LCG bit each iteration: misprediction-rich.
     fn noisy_program(n: i32) -> cestim_isa::Program {
@@ -194,10 +187,9 @@ mod tests {
         // tracer recording the same events.
         let mut sim = Simulator::new(&p, PipelineConfig::paper(), Box::new(Gshare::new(12)));
         sim.add_estimator(Box::new(Jrs::paper_enhanced()));
-        sim.set_tracer(Tracer::unbounded());
+        let mut tracer = Tracer::unbounded();
         let mut live = DistanceAnalysis::new(64);
-        sim.run(&mut live);
-        let tracer = sim.take_tracer();
+        sim.run(&mut MultiObserver::new(vec![&mut live, &mut tracer]));
         assert_eq!(tracer.dropped(), 0, "unbounded tracer must not drop");
 
         // Replay from memory.
@@ -232,13 +224,17 @@ mod tests {
     }
 
     #[test]
-    fn replay_covers_recovery_and_gate_hooks() {
+    fn replay_covers_fetch_recovery_and_gate_hooks() {
         #[derive(Default)]
         struct Hooks {
+            fetched: u64,
             recoveries: u64,
             gated: u64,
         }
         impl SimObserver for Hooks {
+            fn on_fetch(&mut self, _: &FetchEvent) {
+                self.fetched += 1;
+            }
             fn on_recovery(&mut self, _: &RecoveryEvent) {
                 self.recoveries += 1;
             }
@@ -266,7 +262,28 @@ mod tests {
         ];
         let mut h = Hooks::default();
         assert_eq!(replay(events.iter(), &mut h), 3);
+        assert_eq!(h.fetched, 1);
         assert_eq!(h.recoveries, 1);
         assert_eq!(h.gated, 1);
+    }
+
+    #[test]
+    fn both_jsonl_entry_points_drop_a_torn_final_line() {
+        let p = noisy_program(200);
+        let mut sim = Simulator::new(&p, PipelineConfig::paper(), Gshare::new(12));
+        sim.add_estimator(Jrs::paper_enhanced());
+        let mut tracer = Tracer::unbounded();
+        sim.run(&mut tracer);
+        let mut buf = Vec::new();
+        tracer.export_jsonl(&mut buf).unwrap();
+        // Cut the file mid-way through its last record.
+        let torn = &buf[..buf.len() - 10];
+
+        let read = cestim_obs::read_trace_jsonl(torn).unwrap();
+        assert_eq!(read.len(), tracer.len() - 1);
+        let mut replayed = Tracer::unbounded();
+        let n = replay_jsonl(torn, &mut replayed).unwrap();
+        assert_eq!(n as usize, read.len());
+        assert!(replayed.events().eq(read.iter()));
     }
 }

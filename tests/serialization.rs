@@ -1,32 +1,51 @@
 //! Serialization round-trips on real simulation output.
 
-use cestim::trace::{read_jsonl, write_jsonl, TraceCollector};
 use cestim::{run_with_observer, EstimatorSpec, PredictorKind, RunConfig, WorkloadKind};
+use cestim_obs::{read_trace_jsonl, TraceEvent, Tracer};
+
+/// `(seq, committed, mispredicted, estimate count)` of a `Commit` or
+/// `Squash` event — the per-branch outcome record of the trace.
+fn outcome(ev: &TraceEvent) -> Option<(u64, bool, bool, usize)> {
+    match ev {
+        TraceEvent::Commit {
+            seq,
+            mispredicted,
+            estimates,
+            ..
+        } => Some((*seq, true, *mispredicted, estimates.len())),
+        TraceEvent::Squash {
+            seq,
+            mispredicted,
+            estimates,
+            ..
+        } => Some((*seq, false, *mispredicted, estimates.len())),
+        _ => None,
+    }
+}
 
 #[test]
 fn trace_of_a_real_run_round_trips_through_jsonl() {
-    let mut collector = TraceCollector::new();
+    let mut tracer = Tracer::unbounded();
     let out = run_with_observer(
         &RunConfig::paper(WorkloadKind::Compress, 1, PredictorKind::Gshare),
         &[EstimatorSpec::jrs_paper()],
-        &mut collector,
+        &mut tracer,
     );
-    assert_eq!(collector.len() as u64, out.stats.fetched_branches);
+    let outcomes: Vec<_> = tracer.events().filter_map(outcome).collect();
+    assert_eq!(outcomes.len() as u64, out.stats.fetched_branches);
 
     let mut buf = Vec::new();
-    write_jsonl(&mut buf, collector.records()).unwrap();
-    let back = read_jsonl(buf.as_slice()).unwrap();
-    assert_eq!(back, collector.records());
+    tracer.export_jsonl(&mut buf).unwrap();
+    let back = read_trace_jsonl(buf.as_slice()).unwrap();
+    assert!(back.iter().eq(tracer.events()));
 
     // Sanity on the content: committed records are in program order by seq,
     // every record carries exactly one estimate.
-    let committed: Vec<_> = back.iter().filter(|r| r.committed).collect();
-    assert!(committed.windows(2).all(|w| w[0].seq < w[1].seq));
-    assert!(back.iter().all(|r| r.estimates.len() == 1));
-    let mispredicted = back
-        .iter()
-        .filter(|r| r.committed && r.mispredicted)
-        .count();
+    let back: Vec<_> = back.iter().filter_map(outcome).collect();
+    let committed: Vec<_> = back.iter().filter(|r| r.1).collect();
+    assert!(committed.windows(2).all(|w| w[0].0 < w[1].0));
+    assert!(back.iter().all(|r| r.3 == 1));
+    let mispredicted = back.iter().filter(|r| r.1 && r.2).count();
     assert_eq!(mispredicted as u64, out.stats.mispredicted_committed);
 }
 

@@ -9,17 +9,19 @@
 //!    [`cestim::TraceSimulator`] frontend reproduces the live replay-mode
 //!    simulator bit for bit: pipeline stats, quadrant counts, and every
 //!    per-estimator metric, across all four predictors and the full
-//!    conformance estimator set.
+//!    conformance estimator set — and the traced event stream, event by
+//!    event.
 //! 3. **Cache/wire stability** — `ExecJob::Replay` keys the exec cache on
 //!    the trace *content hash*, not the (potentially megabytes of) inline
 //!    records, and that key is stable across encodings.
 
 use cestim::trace_io;
 use cestim::{
-    conformance_specs, export_config_trace, run_replay_live, run_trace, PredictorKind, RunConfig,
-    WorkloadKind,
+    conformance_specs, export_config_trace, run_replay_live, run_trace, Jrs, PipelineConfig,
+    PredictorKind, RunConfig, Simulator, TraceSimulator, WorkloadKind,
 };
 use cestim_exec::Job;
+use cestim_obs::Tracer;
 use cestim_sim::{capture_live_trace, EstimatorSpec, ExecJob};
 
 fn cfg(workload: WorkloadKind, predictor: PredictorKind) -> RunConfig {
@@ -138,6 +140,63 @@ fn gated_trace_replay_matches_gated_live_replay() {
     let replayed = run_trace(&records, c.predictor, &c.pipeline, &specs);
     assert_eq!(live, replayed, "gated replay diverged");
     assert!(live.stats.gated_cycles > 0, "gate never engaged");
+}
+
+/// Replay equivalence holds event by event: the tracer JSONL of a live
+/// replay-mode run and of a `TraceSimulator` run over the exported trace
+/// are byte-identical — every fetch burst, prediction, resolution,
+/// recovery, gate stall and commit, with its cycle, in the same order.
+#[test]
+fn trace_replay_event_stream_matches_live_replay() {
+    for (workload, pipeline) in [
+        (WorkloadKind::Compress, PipelineConfig::paper()),
+        (
+            WorkloadKind::M88ksim,
+            PipelineConfig::paper().with_gating(1),
+        ),
+    ] {
+        let mut c = cfg(workload, PredictorKind::Gshare);
+        c.pipeline = pipeline;
+        let records = export_config_trace(&c).unwrap();
+        let w = workload.build(c.scale);
+
+        let mut live = Simulator::new(&w.program, c.pipeline.clone(), c.predictor.build_any());
+        live.set_replay_fetch(true);
+        live.add_estimator(Jrs::paper_enhanced());
+        let mut live_events = Tracer::unbounded();
+        live.run(&mut live_events);
+
+        let mut replay = TraceSimulator::new(&records, c.pipeline.clone(), c.predictor.build_any());
+        replay.add_estimator(Jrs::paper_enhanced());
+        let mut replay_events = Tracer::unbounded();
+        replay.run(&mut replay_events);
+
+        let (mut a, mut b) = (Vec::new(), Vec::new());
+        live_events.export_jsonl(&mut a).unwrap();
+        replay_events.export_jsonl(&mut b).unwrap();
+        let a = String::from_utf8(a).unwrap();
+        let b = String::from_utf8(b).unwrap();
+        if let Some((i, (x, y))) = a
+            .lines()
+            .zip(b.lines())
+            .enumerate()
+            .find(|(_, (x, y))| x != y)
+        {
+            panic!("{workload}: event {i} differs\n live:   {x}\n replay: {y}");
+        }
+        assert_eq!(
+            a.lines().count(),
+            b.lines().count(),
+            "{workload}: event counts differ"
+        );
+        assert!(live_events.events().any(|e| e.kind() == "fetch"));
+        if c.pipeline.gate_threshold.is_some() {
+            assert!(
+                live_events.events().any(|e| e.kind() == "gate"),
+                "gate never engaged"
+            );
+        }
+    }
 }
 
 /// The replay path preserves the committed population: a normal
