@@ -50,15 +50,11 @@ impl Cache {
     ///
     /// # Panics
     ///
-    /// Panics if `sets` or `line_words` is not a power of two, or `assoc`
-    /// is zero.
+    /// Panics if [`CacheConfig::validate`] rejects `cfg`.
     pub fn new(cfg: CacheConfig) -> Cache {
-        assert!(cfg.sets.is_power_of_two(), "sets must be a power of two");
-        assert!(
-            cfg.line_words.is_power_of_two(),
-            "line_words must be a power of two"
-        );
-        assert!(cfg.assoc > 0, "associativity must be positive");
+        if let Err(e) = cfg.validate("cache ") {
+            panic!("{e}");
+        }
         let entries = (cfg.sets * cfg.assoc) as usize;
         Cache {
             line_shift: cfg.line_words.trailing_zeros(),

@@ -47,7 +47,57 @@ impl CacheConfig {
     pub fn capacity_words(&self) -> u64 {
         self.sets as u64 * self.assoc as u64 * self.line_words as u64
     }
+
+    /// Checks the geometry the cache model relies on: `sets` and
+    /// `line_words` are powers of two, `assoc` is non-zero, `sets × assoc`
+    /// is at most 2^20 entries, and both latencies are at most 2^20 cycles.
+    /// `name` prefixes the error.
+    pub fn validate(&self, name: &str) -> Result<(), ConfigError> {
+        let entries = self.sets as u64 * self.assoc as u64;
+        let latency = self.hit_latency.max(self.miss_latency);
+        check(
+            name,
+            [
+                (self.sets.is_power_of_two(), "sets must be a power of two"),
+                (
+                    self.line_words.is_power_of_two(),
+                    "line_words must be a power of two",
+                ),
+                (self.assoc > 0, "assoc must be positive"),
+                (entries <= 1 << 20, "sets × assoc must be at most 2^20"),
+                (
+                    latency <= MAX_LATENCY,
+                    "latencies must be at most 2^20 cycles",
+                ),
+            ],
+        )
+    }
 }
+
+/// Largest latency or penalty, in cycles: keeps every cycle sum far from
+/// overflow.
+const MAX_LATENCY: u64 = 1 << 20;
+
+/// Returns the message of the first failed `(ok, message)` rule, prefixed.
+fn check<const N: usize>(prefix: &str, rules: [(bool, &str); N]) -> Result<(), ConfigError> {
+    match rules.iter().find(|(ok, _)| !ok) {
+        Some((_, msg)) => Err(ConfigError(format!("{prefix}{msg}"))),
+        None => Ok(()),
+    }
+}
+
+/// Why a [`PipelineConfig`] cannot be simulated (see
+/// [`PipelineConfig::validate`]).
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct ConfigError(String);
+
+impl std::fmt::Display for ConfigError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.write_str(&self.0)
+    }
+}
+
+impl std::error::Error for ConfigError {}
 
 /// Full pipeline-simulator configuration.
 ///
@@ -125,6 +175,43 @@ impl PipelineConfig {
     }
 }
 
+impl PipelineConfig {
+    /// Checks everything the simulators assume of a configuration: fetch
+    /// width at least 1, a speculation window in `1..=4096` (its buffers
+    /// are allocated up front), a gate threshold other than 0 (which would
+    /// stall fetch forever), a GHR width in `1..=32`, latencies of at most
+    /// 2^20 cycles, and valid caches ([`CacheConfig::validate`]). The
+    /// simulator constructors panic on a configuration this rejects;
+    /// callers taking configurations from outside call it first.
+    pub fn validate(&self) -> Result<(), ConfigError> {
+        let latency = self.branch_resolve_latency.max(self.mispredict_penalty);
+        check(
+            "",
+            [
+                (self.fetch_width > 0, "fetch_width must be positive"),
+                (
+                    (1..=4096).contains(&self.max_unresolved_branches),
+                    "max_unresolved_branches must be in 1..=4096",
+                ),
+                (
+                    self.gate_threshold != Some(0),
+                    "gate_threshold 0 would stall fetch forever",
+                ),
+                (
+                    (1..=32).contains(&self.ghr_width),
+                    "ghr_width must be in 1..=32",
+                ),
+                (
+                    latency <= MAX_LATENCY,
+                    "branch_resolve_latency and mispredict_penalty must be at most 2^20 cycles",
+                ),
+            ],
+        )?;
+        self.icache.validate("icache.")?;
+        self.dcache.validate("dcache.")
+    }
+}
+
 impl Default for PipelineConfig {
     fn default() -> Self {
         PipelineConfig::paper()
@@ -157,6 +244,38 @@ mod tests {
         let c = PipelineConfig::paper().with_gating(2);
         assert_eq!(c.gate_threshold, Some(2));
         assert_eq!(c.eager_max_forks, None);
+    }
+
+    #[test]
+    fn degenerate_configurations_are_rejected() {
+        assert_eq!(PipelineConfig::paper().with_gating(1).validate(), Ok(()));
+        assert_eq!(PipelineConfig::paper().with_eager(1).validate(), Ok(()));
+        type Edit = fn(&mut PipelineConfig);
+        let bad: [(&str, Edit); 10] = [
+            ("fetch_width", |c| c.fetch_width = 0),
+            ("max_unresolved_branches", |c| c.max_unresolved_branches = 0),
+            ("max_unresolved_branches", |c| {
+                c.max_unresolved_branches = 1 << 40
+            }),
+            ("gate_threshold", |c| c.gate_threshold = Some(0)),
+            ("ghr_width", |c| c.ghr_width = 33),
+            ("branch_resolve_latency", |c| {
+                c.mispredict_penalty = u64::MAX
+            }),
+            ("icache.sets", |c| c.icache.sets = 3),
+            ("dcache.line_words", |c| c.dcache.line_words = 0),
+            ("dcache.assoc", |c| c.dcache.assoc = 0),
+            ("icache.sets × assoc", |c| {
+                c.icache.sets = 1 << 31;
+                c.icache.assoc = u32::MAX;
+            }),
+        ];
+        for (field, break_it) in bad {
+            let mut c = PipelineConfig::paper();
+            break_it(&mut c);
+            let msg = c.validate().expect_err(field).to_string();
+            assert!(msg.starts_with(field), "{field}: {msg}");
+        }
     }
 
     #[test]

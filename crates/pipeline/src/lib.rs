@@ -23,10 +23,14 @@
 //! ([`SimObserver`]) that `cestim-trace` uses for distance/clustering
 //! analyses.
 //!
-//! See the [`Simulator`] type docs for the model and an example.
+//! One timing backend, [`Pipeline`], serves two front ends: [`Simulator`]
+//! (the interpreter, with wrong-path execution) and [`TraceSimulator`] (a
+//! cursor over an imported branch trace). See [`Pipeline`] for the timing
+//! model and [`Simulator`] for an example.
 
 #![warn(missing_docs)]
 
+mod backend;
 mod cache;
 mod config;
 mod events;
@@ -35,8 +39,9 @@ mod simulator;
 mod smt;
 mod stats;
 
+pub use backend::Pipeline;
 pub use cache::{Cache, CacheAccess};
-pub use config::{CacheConfig, PipelineConfig};
+pub use config::{CacheConfig, ConfigError, PipelineConfig};
 pub use events::{
     FetchEvent, GateEvent, MultiObserver, NullObserver, OutcomeEvent, PredictEvent, RecoveryEvent,
     ResolveEvent, SimObserver,

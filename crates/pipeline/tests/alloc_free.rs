@@ -1,4 +1,5 @@
-//! Proves the per-branch hot path performs zero heap allocations.
+//! Proves the per-branch hot path performs zero heap allocations, under
+//! both front ends.
 //!
 //! Strategy: a counting global allocator wraps `System`; two identically
 //! shaped programs differing only in trip count are simulated (construction
@@ -6,7 +7,10 @@
 //! memory pages is the same for both because the speculation window and the
 //! touched address set are scale-independent). If any allocation happened
 //! per fetched/committed branch, the longer run — ~9× the branches — would
-//! allocate more. Equal counts pin the steady-state loop at zero.
+//! allocate more. Equal counts pin the steady-state loop at zero. The
+//! exported traces of the same two programs, replayed through
+//! `TraceSimulator`, must likewise allocate equally (the exports happen
+//! outside the measurement).
 //!
 //! This binary holds exactly one `#[test]` so no concurrent test thread can
 //! perturb the counter.
@@ -40,7 +44,8 @@ static A: Counting = Counting;
 use cestim_bpred::Gshare;
 use cestim_core::Jrs;
 use cestim_isa::{Program, ProgramBuilder, Reg};
-use cestim_pipeline::{PipelineConfig, PipelineStats, Simulator};
+use cestim_pipeline::{PipelineConfig, PipelineStats, Simulator, TraceSimulator};
+use cestim_trace_io::{export_program, TraceRecord};
 
 /// A loop with an unpredictable branch (LCG bit), loads/stores to a fixed
 /// buffer (exercises the memory undo log), and filler ALU work. Same
@@ -82,6 +87,37 @@ fn measure(program: &Program) -> (u64, PipelineStats) {
     (ALLOCS.load(Ordering::Relaxed) - before, stats)
 }
 
+/// Allocation calls spent constructing and running one trace replay.
+fn measure_replay(records: &[TraceRecord]) -> (u64, PipelineStats) {
+    let before = ALLOCS.load(Ordering::Relaxed);
+    let mut sim = TraceSimulator::new(records, PipelineConfig::paper(), Gshare::new(12));
+    sim.add_estimator(Jrs::paper_enhanced());
+    let stats = sim.run_to_completion();
+    (ALLOCS.load(Ordering::Relaxed) - before, stats)
+}
+
+fn assert_scale_free(what: &str, short: (u64, PipelineStats), long: (u64, PipelineStats)) {
+    let ((alloc_short, stats_short), (alloc_long, stats_long)) = (short, long);
+    assert!(
+        stats_long.committed_branches >= stats_short.committed_branches + 8_000,
+        "{what}: long run must commit far more branches: {} vs {}",
+        stats_long.committed_branches,
+        stats_short.committed_branches
+    );
+    assert!(
+        stats_long.recoveries > stats_short.recoveries,
+        "{what}: both runs must exercise misprediction recovery"
+    );
+    assert_eq!(
+        alloc_long,
+        alloc_short,
+        "{what}: allocation count must not scale with branch count \
+         ({} extra branches cost {} extra allocations)",
+        stats_long.committed_branches - stats_short.committed_branches,
+        alloc_long as i64 - alloc_short as i64
+    );
+}
+
 #[test]
 fn committed_branches_allocate_nothing() {
     let short = workload(1_000);
@@ -89,26 +125,9 @@ fn committed_branches_allocate_nothing() {
     // Warm-up pass absorbs one-time lazy process state (thread-locals,
     // stdio) so it cannot masquerade as per-branch traffic.
     let _ = measure(&short);
+    assert_scale_free("live", measure(&short), measure(&long));
 
-    let (alloc_short, stats_short) = measure(&short);
-    let (alloc_long, stats_long) = measure(&long);
-
-    assert!(
-        stats_long.committed_branches >= stats_short.committed_branches + 8_000,
-        "long run must commit far more branches: {} vs {}",
-        stats_long.committed_branches,
-        stats_short.committed_branches
-    );
-    assert!(
-        stats_long.recoveries > stats_short.recoveries,
-        "both runs must exercise misprediction recovery"
-    );
-    assert_eq!(
-        alloc_long,
-        alloc_short,
-        "allocation count must not scale with branch count \
-         ({} extra branches cost {} extra allocations)",
-        stats_long.committed_branches - stats_short.committed_branches,
-        alloc_long as i64 - alloc_short as i64
-    );
+    let short = export_program(&short, 10_000_000).expect("export");
+    let long = export_program(&long, 10_000_000).expect("export");
+    assert_scale_free("replay", measure_replay(&short), measure_replay(&long));
 }

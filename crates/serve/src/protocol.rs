@@ -23,7 +23,8 @@
 //! batch `repro` harness executes, so server results are byte-identical
 //! to direct execution by construction.
 
-use cestim_sim::{EstimatorSpec, ExecJob};
+use cestim_pipeline::PipelineConfig;
+use cestim_sim::{EstimatorSpec, ExecJob, RunConfig};
 use serde::{Deserialize, Value};
 
 /// Hard cap on one protocol line, in bytes. Longer lines are rejected
@@ -349,7 +350,8 @@ pub fn parse_line(bytes: &[u8], limits: &RequestLimits) -> Result<Request, Proto
     }
 }
 
-/// Validates a deserialized job against the server's admission limits.
+/// Validates a deserialized job against the server's admission limits and
+/// [`PipelineConfig::validate`].
 ///
 /// # Errors
 ///
@@ -365,6 +367,15 @@ pub fn validate_job(job: &ExecJob, limits: &RequestLimits) -> Result<(), ProtoEr
         } else {
             Ok(())
         }
+    };
+    let check_pipeline = |pipeline: &PipelineConfig| {
+        pipeline
+            .validate()
+            .map_err(|e| invalid(format!("pipeline: {e}")))
+    };
+    let check_cfg = |cfg: &RunConfig| {
+        check_scale(cfg.scale)?;
+        check_pipeline(&cfg.pipeline)
     };
     let check_specs = |specs: &[EstimatorSpec]| {
         if specs.len() > limits.max_specs {
@@ -391,24 +402,24 @@ pub fn validate_job(job: &ExecJob, limits: &RequestLimits) -> Result<(), ProtoEr
     };
     match job {
         ExecJob::Run { cfg, specs } => {
-            check_scale(cfg.scale)?;
+            check_cfg(cfg)?;
             check_specs(specs)
         }
         ExecJob::CrossProfileRun { cfg, specs, .. } => {
-            check_scale(cfg.scale)?;
+            check_cfg(cfg)?;
             check_specs(specs)
         }
         ExecJob::Distance { cfg, buckets } => {
-            check_scale(cfg.scale)?;
+            check_cfg(cfg)?;
             check_buckets(*buckets)
         }
         ExecJob::Cluster { cfg, spec, buckets } => {
-            check_scale(cfg.scale)?;
+            check_cfg(cfg)?;
             spec.validate().map_err(|e| invalid(e.to_string()))?;
             check_buckets(*buckets)
         }
         ExecJob::Boost { cfg, specs, max_k } => {
-            check_scale(cfg.scale)?;
+            check_cfg(cfg)?;
             check_specs(specs)?;
             if specs.is_empty() {
                 return Err(invalid(
@@ -420,7 +431,18 @@ pub fn validate_job(job: &ExecJob, limits: &RequestLimits) -> Result<(), ProtoEr
             }
             Ok(())
         }
-        ExecJob::Replay { records, specs, .. } => {
+        ExecJob::Replay {
+            records,
+            pipeline,
+            specs,
+            ..
+        } => {
+            check_pipeline(pipeline)?;
+            if pipeline.eager_max_forks.is_some() {
+                return Err(invalid(
+                    "trace replay cannot fork wrong paths (eager execution)".to_string(),
+                ));
+            }
             check_specs(specs)?;
             // Inline traces are bounded by the protocol's line cap anyway;
             // this bound produces a structured rejection before a huge
@@ -756,6 +778,41 @@ mod tests {
             validate_job(&bad_buckets, &limits).unwrap_err().code,
             ErrorCode::InvalidSpec
         );
+
+        // Pipeline configurations the simulators cannot run: each would
+        // otherwise reach a panic (or a process-killing allocation) on a
+        // worker. Trace replay also cannot fork wrong paths.
+        let bad_pipelines: [fn(&mut PipelineConfig); 6] = [
+            |p| p.max_unresolved_branches = 1 << 40,
+            |p| p.fetch_width = 0,
+            |p| p.gate_threshold = Some(0),
+            |p| p.ghr_width = 0,
+            |p| p.icache.sets = 3,
+            |p| p.dcache.assoc = 0,
+        ];
+        for break_it in bad_pipelines {
+            let mut cfg = RunConfig::paper(WorkloadKind::Compress, 1, PredictorKind::Gshare);
+            break_it(&mut cfg.pipeline);
+            let run = ExecJob::Run {
+                cfg,
+                specs: Vec::new(),
+            };
+            let err = validate_job(&run, &limits).unwrap_err();
+            assert_eq!(err.code, ErrorCode::InvalidSpec, "{}", err.message);
+            assert!(err.message.starts_with("pipeline: "), "{}", err.message);
+        }
+        let mut no_fetch = PipelineConfig::paper();
+        no_fetch.fetch_width = 0;
+        for pipeline in [no_fetch, PipelineConfig::paper().with_eager(1)] {
+            let replay = ExecJob::Replay {
+                records: Vec::new(),
+                predictor: PredictorKind::Gshare,
+                pipeline,
+                specs: Vec::new(),
+            };
+            let err = validate_job(&replay, &limits).unwrap_err();
+            assert_eq!(err.code, ErrorCode::InvalidSpec, "{}", err.message);
+        }
     }
 
     #[test]

@@ -307,6 +307,24 @@ fn malformed_lines_get_structured_errors_and_server_survives() {
         }
         other => panic!("expected error, got {other:?}"),
     }
+    // A pipeline the simulators cannot run is a spec error too: a 2^40-entry
+    // speculation window used to abort the whole process allocating it.
+    let mut cfg = RunConfig::paper(WorkloadKind::Compress, 1, PredictorKind::Gshare);
+    cfg.pipeline.max_unresolved_branches = 1 << 40;
+    let job = ExecJob::Run {
+        cfg,
+        specs: Vec::new(),
+    };
+    let line = cestim_serve::render_request(&run_request("window", "t", 1, job));
+    assert!(line.contains("\"max_unresolved_branches\":1099511627776"));
+    client.send_line(line.as_bytes());
+    match client.recv_timeout(WAIT).unwrap() {
+        Response::Error { id, code, .. } => {
+            assert_eq!(id.as_deref(), Some("window"));
+            assert_eq!(code, "invalid-spec");
+        }
+        other => panic!("expected error, got {other:?}"),
+    }
     // The server is still healthy.
     client.send(Request::Ping);
     assert_eq!(client.recv_timeout(WAIT).unwrap(), Response::Pong);

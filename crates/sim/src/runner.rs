@@ -63,6 +63,26 @@ pub struct RunOutcome {
     pub estimators: Vec<EstimatorResult>,
 }
 
+impl RunOutcome {
+    /// Pairs a finished pass's stats and per-estimator quadrants with the
+    /// specs the estimators were built from (same order).
+    pub fn new(
+        stats: PipelineStats,
+        specs: &[EstimatorSpec],
+        quadrants: &[EstimatorQuadrants],
+    ) -> RunOutcome {
+        let estimators = specs
+            .iter()
+            .zip(quadrants)
+            .map(|(spec, &quadrants)| EstimatorResult {
+                name: spec.label(),
+                quadrants,
+            })
+            .collect();
+        RunOutcome { stats, estimators }
+    }
+}
+
 /// Runs the profiling pass: the same pipeline and predictor, recording
 /// per-branch prediction accuracy over the committed stream.
 pub fn collect_profile(cfg: &RunConfig) -> ProfileCollector {
@@ -164,16 +184,8 @@ pub fn run_instrumented(
     ];
     sim.export_metrics(&registry, &labels);
 
-    let estimators = specs
-        .iter()
-        .zip(sim.estimator_quadrants())
-        .map(|(spec, &quadrants)| EstimatorResult {
-            name: spec.label(),
-            quadrants,
-        })
-        .collect();
     InstrumentedOutcome {
-        outcome: RunOutcome { stats, estimators },
+        outcome: RunOutcome::new(stats, specs, sim.estimator_quadrants()),
         tracer,
         phase_timings: sim.phase_timings(),
         metrics: registry.snapshot(),
@@ -217,15 +229,7 @@ fn run_inner(
         sim.set_profiling(true);
     }
     let stats = sim.run(obs);
-    let estimators = specs
-        .iter()
-        .zip(sim.estimator_quadrants())
-        .map(|(spec, &quadrants)| EstimatorResult {
-            name: spec.label(),
-            quadrants,
-        })
-        .collect();
-    RunOutcome { stats, estimators }
+    RunOutcome::new(stats, specs, sim.estimator_quadrants())
 }
 
 #[cfg(test)]

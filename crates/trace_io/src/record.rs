@@ -83,6 +83,26 @@ impl TraceClass {
         }
     }
 
+    /// The class of an instruction. It depends on the instruction alone,
+    /// not on how it executed, so the live pipeline can predecode it.
+    pub fn of(inst: &Inst) -> TraceClass {
+        match inst {
+            Inst::Branch { .. } => TraceClass::CondBranch,
+            Inst::Jump { .. } => TraceClass::Jump,
+            Inst::Call { .. } => TraceClass::Call,
+            Inst::Ret => TraceClass::Ret,
+            Inst::Load { .. } => TraceClass::Load,
+            Inst::Store { .. } => TraceClass::Store,
+            Inst::Halt => TraceClass::Halt,
+            Inst::Alu { op, .. } | Inst::AluImm { op, .. } => match op {
+                AluOp::Mul => TraceClass::Mul,
+                AluOp::Div | AluOp::Rem => TraceClass::Div,
+                _ => TraceClass::Alu,
+            },
+            Inst::Li { .. } | Inst::Nop => TraceClass::Alu,
+        }
+    }
+
     /// Parses a JSONL class name.
     pub fn from_name(name: &str) -> Option<TraceClass> {
         TraceClass::ALL.into_iter().find(|c| c.name() == name)
@@ -123,27 +143,17 @@ impl TraceRecord {
     pub fn classify(pc: u32, inst: &Inst, step: &Step) -> TraceRecord {
         let reg = |r: Option<Reg>| r.map_or(NO_REG, |r| r.index() as u8);
         let (s1, s2) = inst.srcs();
-        let (class, target, taken) = match (inst, step) {
-            (Inst::Branch { .. }, Step::Branch { taken, target, .. }) => {
-                (TraceClass::CondBranch, *target, *taken)
-            }
-            (Inst::Jump { .. }, Step::Jump { target }) => (TraceClass::Jump, *target, false),
-            (Inst::Call { .. }, Step::Call { target }) => (TraceClass::Call, *target, false),
-            (Inst::Ret, Step::Ret { target }) => (TraceClass::Ret, *target, false),
-            (Inst::Load { .. }, Step::Load { addr }) => (TraceClass::Load, *addr, false),
-            (Inst::Store { .. }, Step::Store { addr }) => (TraceClass::Store, *addr, false),
-            (Inst::Halt, _) => (TraceClass::Halt, 0, false),
-            (Inst::Alu { op, .. } | Inst::AluImm { op, .. }, _) => (alu_class(*op), 0, false),
-            (Inst::Li { .. } | Inst::Nop, _) => (TraceClass::Alu, 0, false),
-            // Inst/Step disagreement cannot happen on an architectural
-            // stream; classify totally anyway.
-            _ => (TraceClass::Alu, 0, false),
+        let (target, taken) = match *step {
+            Step::Branch { taken, target, .. } => (target, taken),
+            Step::Jump { target } | Step::Call { target } | Step::Ret { target } => (target, false),
+            Step::Load { addr } | Step::Store { addr } => (addr, false),
+            _ => (0, false),
         };
         TraceRecord {
             pc,
             target,
             taken,
-            class,
+            class: TraceClass::of(inst),
             dst: reg(inst.dst()),
             s1: reg(s1),
             s2: reg(s2),
@@ -159,14 +169,6 @@ impl TraceRecord {
             }
         }
         Ok(())
-    }
-}
-
-fn alu_class(op: AluOp) -> TraceClass {
-    match op {
-        AluOp::Mul => TraceClass::Mul,
-        AluOp::Div | AluOp::Rem => TraceClass::Div,
-        _ => TraceClass::Alu,
     }
 }
 

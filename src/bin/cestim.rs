@@ -112,6 +112,10 @@ fn cmd_run(argv: impl Iterator<Item = String>) -> ExitCode {
     if let Some(g) = args.gate {
         pipeline.gate_threshold = Some(g);
     }
+    if let Err(e) = pipeline.validate() {
+        eprintln!("error: {e}");
+        usage();
+    }
 
     let out = if let Some(w) = args.workload {
         let cfg = RunConfig {
@@ -128,18 +132,7 @@ fn cmd_run(argv: impl Iterator<Item = String>) -> ExitCode {
             sim.add_estimator(spec.build_any(None));
         }
         let stats = sim.run_to_completion();
-        cestim::RunOutcome {
-            stats,
-            estimators: args
-                .estimators
-                .iter()
-                .zip(sim.estimator_quadrants())
-                .map(|(s, &quadrants)| cestim::sim::EstimatorResult {
-                    name: s.label(),
-                    quadrants,
-                })
-                .collect(),
-        }
+        cestim::RunOutcome::new(stats, &args.estimators, sim.estimator_quadrants())
     };
 
     if args.json {

@@ -105,3 +105,16 @@ fn profile_estimators_rejected_for_asm_input() {
     assert!(!out.status.success());
     assert!(String::from_utf8_lossy(&out.stderr).contains("--workload"));
 }
+
+#[test]
+fn zero_gate_threshold_is_a_usage_error() {
+    let out = cestim()
+        .args("run --workload compress --scale 1 --gate 0".split(' '))
+        .output()
+        .expect("binary runs");
+    assert_eq!(out.status.code(), Some(2), "usage errors exit 2");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(stderr.contains("gate_threshold"), "{stderr}");
+    assert!(stderr.contains("usage"), "{stderr}");
+    assert!(!stderr.contains("panicked"), "{stderr}");
+}
