@@ -16,6 +16,8 @@
 //! * [`Executor`] — a fixed-size worker pool (`std::thread::scope` +
 //!   `mpsc`) that runs a batch out of order but merges outputs back into
 //!   submission order: callers see bit-for-bit the serial answer.
+//!   [`Executor::run_one`] runs a single job through the same per-job
+//!   path for callers that schedule work themselves (the serve workers).
 //! * [`DiskCache`] — a content-addressed JSON store (atomic rename
 //!   writes) replaying previously computed outputs across process runs,
 //!   governed by a [`CachePolicy`].
@@ -56,7 +58,7 @@ pub use fault::{FaultPlan, FaultPlanError, INJECTED_PANIC_PREFIX};
 pub use journal::{JournalEntry, RunJournal, JOURNAL_FILE, JOURNAL_PREV_FILE};
 pub use key::{canonical_string, content_hash, fnv1a, schema_salt, CacheKey};
 pub use pool::{
-    default_workers, install_quiet_panic_hook, BatchFailure, ExecReport, Executor, Job, JobError,
-    JobErrorKind,
+    default_workers, install_quiet_panic_hook, panic_message, BatchFailure, ExecReport, Executor,
+    Job, JobError, JobErrorKind, JobRun,
 };
 pub use retry::RetryPolicy;

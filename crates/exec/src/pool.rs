@@ -200,7 +200,9 @@ fn truncate_message(msg: &str) -> String {
     format!("{}…", &msg[..cut])
 }
 
-fn payload_message(payload: &(dyn std::any::Any + Send)) -> String {
+/// The message of a caught panic payload (`&str` or `String`; anything
+/// else reads "non-string panic payload").
+pub fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
     if let Some(s) = payload.downcast_ref::<&str>() {
         (*s).to_string()
     } else if let Some(s) = payload.downcast_ref::<String>() {
@@ -255,30 +257,8 @@ impl WatchSlot {
     }
 }
 
-/// Executes batches of [`Job`]s on a fixed-size worker pool, merging
-/// results back into submission order.
-pub struct Executor {
-    workers: usize,
-    cache: Option<DiskCache>,
-    policy: CachePolicy,
-    retry: RetryPolicy,
-    deadline: Option<Duration>,
-    /// Poll interval (in simulator cycles) for cooperative cancellation
-    /// of overdue jobs; 0 disables arming the token.
-    cancel_every: u64,
-    fault: FaultPlan,
-    journal: Option<Arc<RunJournal>>,
-    /// Executor-lifetime submission sequence: assigned on the calling
-    /// thread in submission order, so fault targeting is deterministic
-    /// regardless of worker interleaving.
-    fault_seq: AtomicU64,
-    registry: Registry,
-    /// Causal span sink (disabled by default): when enabled via
-    /// [`Executor::with_spans`], every batch emits a root span with
-    /// per-job / queue-wait / attempt / cache / journal / watchdog
-    /// children, and job bodies run under an ambient span context so
-    /// simulator-level spans nest underneath their attempt.
-    spans: SpanCollector,
+/// The executor's metric handles, registered together on one registry.
+struct ExecMetrics {
     submitted: Counter,
     hits: Counter,
     executed: Counter,
@@ -293,6 +273,64 @@ pub struct Executor {
     attempts_hist: Histogram,
 }
 
+impl ExecMetrics {
+    fn new(registry: &Registry) -> ExecMetrics {
+        ExecMetrics {
+            submitted: registry.counter("exec.jobs.submitted", &[]),
+            hits: registry.counter("exec.jobs.cache_hits", &[]),
+            executed: registry.counter("exec.jobs.executed", &[]),
+            retries: registry.counter("exec.retries", &[]),
+            panics_caught: registry.counter("exec.panics_caught", &[]),
+            timeouts: registry.counter("exec.timeouts", &[]),
+            jobs_resumed: registry.counter("exec.jobs_resumed", &[]),
+            store_errors: registry.counter("exec.cache.store_errors", &[]),
+            queue_depth: registry.gauge("exec.queue.depth", &[]),
+            inflight: registry.gauge("exec.jobs.inflight", &[]),
+            job_nanos: registry.histogram("exec.job.nanos", &[]),
+            attempts_hist: registry.histogram("exec.job.attempts", &[]),
+        }
+    }
+}
+
+/// One job's output from [`Executor::run_one`], with where it came from.
+#[derive(Debug)]
+pub struct JobRun<T> {
+    /// The job's output, executed or replayed from the cache.
+    pub output: T,
+    /// Answered from the cache without executing.
+    pub cached: bool,
+    /// A cache hit for a key the resumed journal had already completed.
+    pub resumed: bool,
+}
+
+/// Executes batches of [`Job`]s on a fixed-size worker pool, merging
+/// results back into submission order.
+pub struct Executor {
+    workers: usize,
+    cache: Option<DiskCache>,
+    policy: CachePolicy,
+    retry: RetryPolicy,
+    deadline: Option<Duration>,
+    /// Poll interval (in simulator cycles) for cooperative cancellation
+    /// of overdue jobs; 0 disables arming the token.
+    cancel_every: u64,
+    fault: FaultPlan,
+    journal: Option<Arc<RunJournal>>,
+    /// Executor-lifetime fault sequence: assigned on the calling thread
+    /// in submission order (by [`Executor::run_one`] only to the jobs it
+    /// executes), so fault targeting is deterministic regardless of
+    /// worker interleaving.
+    fault_seq: AtomicU64,
+    registry: Registry,
+    /// Causal span sink (disabled by default): when enabled via
+    /// [`Executor::with_spans`], every batch emits a root span with
+    /// per-job / queue-wait / attempt / cache / journal / watchdog
+    /// children, and job bodies run under an ambient span context so
+    /// simulator-level spans nest underneath their attempt.
+    spans: SpanCollector,
+    m: ExecMetrics,
+}
+
 impl Executor {
     /// A single-worker executor with no cache: the in-process sequential
     /// path libraries use when no parallelism was asked for.
@@ -303,12 +341,21 @@ impl Executor {
     /// An executor with `workers` threads (clamped to at least 1) and no
     /// cache, reporting into a fresh metrics registry.
     pub fn new(workers: usize) -> Executor {
-        Executor::build(
-            workers.max(1),
-            None,
-            CachePolicy::ReadWrite,
-            Registry::new(),
-        )
+        let registry = Registry::new();
+        Executor {
+            workers: workers.max(1),
+            cache: None,
+            policy: CachePolicy::ReadWrite,
+            retry: RetryPolicy::default(),
+            deadline: None,
+            cancel_every: cancel::DEFAULT_CHECK_EVERY,
+            fault: FaultPlan::none(),
+            journal: None,
+            fault_seq: AtomicU64::new(0),
+            spans: SpanCollector::disabled(),
+            m: ExecMetrics::new(&registry),
+            registry,
+        }
     }
 
     /// Attaches a disk cache rooted at `dir` with the given policy.
@@ -316,32 +363,25 @@ impl Executor {
     /// # Errors
     ///
     /// Returns any I/O error from creating the cache directory.
-    pub fn with_cache(self, dir: impl Into<PathBuf>, policy: CachePolicy) -> io::Result<Executor> {
-        let cache = if policy == CachePolicy::Disabled {
+    pub fn with_cache(
+        mut self,
+        dir: impl Into<PathBuf>,
+        policy: CachePolicy,
+    ) -> io::Result<Executor> {
+        self.cache = if policy == CachePolicy::Disabled {
             None
         } else {
             Some(DiskCache::open(dir)?)
         };
-        let mut e = Executor::build(self.workers, cache, policy, self.registry);
-        e.retry = self.retry;
-        e.deadline = self.deadline;
-        e.cancel_every = self.cancel_every;
-        e.fault = self.fault;
-        e.journal = self.journal;
-        e.spans = self.spans;
-        Ok(e)
+        self.policy = policy;
+        Ok(self)
     }
 
     /// Reports telemetry into `registry` instead of the executor's own.
-    pub fn with_registry(self, registry: &Registry) -> Executor {
-        let mut e = Executor::build(self.workers, self.cache, self.policy, registry.clone());
-        e.retry = self.retry;
-        e.deadline = self.deadline;
-        e.cancel_every = self.cancel_every;
-        e.fault = self.fault;
-        e.journal = self.journal;
-        e.spans = self.spans;
-        e
+    pub fn with_registry(mut self, registry: &Registry) -> Executor {
+        self.m = ExecMetrics::new(registry);
+        self.registry = registry.clone();
+        self
     }
 
     /// Records causal spans into `spans` (pass an enabled
@@ -395,37 +435,9 @@ impl Executor {
         self
     }
 
-    fn build(
-        workers: usize,
-        cache: Option<DiskCache>,
-        policy: CachePolicy,
-        registry: Registry,
-    ) -> Executor {
-        Executor {
-            workers,
-            cache,
-            policy,
-            retry: RetryPolicy::default(),
-            deadline: None,
-            cancel_every: cancel::DEFAULT_CHECK_EVERY,
-            fault: FaultPlan::none(),
-            journal: None,
-            fault_seq: AtomicU64::new(0),
-            spans: SpanCollector::disabled(),
-            submitted: registry.counter("exec.jobs.submitted", &[]),
-            hits: registry.counter("exec.jobs.cache_hits", &[]),
-            executed: registry.counter("exec.jobs.executed", &[]),
-            retries: registry.counter("exec.retries", &[]),
-            panics_caught: registry.counter("exec.panics_caught", &[]),
-            timeouts: registry.counter("exec.timeouts", &[]),
-            jobs_resumed: registry.counter("exec.jobs_resumed", &[]),
-            store_errors: registry.counter("exec.cache.store_errors", &[]),
-            queue_depth: registry.gauge("exec.queue.depth", &[]),
-            inflight: registry.gauge("exec.jobs.inflight", &[]),
-            job_nanos: registry.histogram("exec.job.nanos", &[]),
-            attempts_hist: registry.histogram("exec.job.attempts", &[]),
-            registry,
-        }
+    /// The attached run journal, if any.
+    pub fn journal(&self) -> Option<&RunJournal> {
+        self.journal.as_deref()
     }
 
     /// Configured worker count.
@@ -442,14 +454,14 @@ impl Executor {
     pub fn report(&self) -> ExecReport {
         ExecReport {
             workers: self.workers as u64,
-            submitted: self.submitted.get(),
-            cache_hits: self.hits.get(),
-            executed: self.executed.get(),
-            retries: self.retries.get(),
-            panics_caught: self.panics_caught.get(),
-            timeouts: self.timeouts.get(),
-            jobs_resumed: self.jobs_resumed.get(),
-            cache_store_errors: self.store_errors.get(),
+            submitted: self.m.submitted.get(),
+            cache_hits: self.m.hits.get(),
+            executed: self.m.executed.get(),
+            retries: self.m.retries.get(),
+            panics_caught: self.m.panics_caught.get(),
+            timeouts: self.m.timeouts.get(),
+            jobs_resumed: self.m.jobs_resumed.get(),
+            cache_store_errors: self.m.store_errors.get(),
             cache_policy: match (&self.cache, self.policy) {
                 (None, _) => "none".to_string(),
                 (Some(_), CachePolicy::ReadWrite) => "read-write".to_string(),
@@ -503,7 +515,7 @@ impl Executor {
     /// [`JobErrorKind::TimedOut`] while the remaining queue is drained by
     /// the surviving workers.
     pub fn run_all_checked<J: Job>(&self, jobs: &[J]) -> Vec<Result<J::Output, JobError>> {
-        self.submitted.add(jobs.len() as u64);
+        self.m.submitted.add(jobs.len() as u64);
         // Submission sequence numbers: the deterministic axis fault plans
         // key off, assigned before any worker runs.
         let seqs: Vec<u64> = jobs
@@ -531,44 +543,21 @@ impl Executor {
         let job_spans: Vec<Mutex<Option<OpenSpan>>> =
             jobs.iter().map(|_| Mutex::new(None)).collect();
 
+        // Each job's key is derived once (canonical JSON + FNV-1a; for a
+        // trace replay that hashes the whole trace) and passed down.
+        let keys: Vec<CacheKey> = jobs.iter().map(Job::cache_key).collect();
         let mut slots: Vec<Option<Result<J::Output, JobError>>> =
             jobs.iter().map(|_| None).collect();
         let mut pending: Vec<usize> = Vec::new();
         for (i, job) in jobs.iter().enumerate() {
             let mut jspan = mbuf.open("exec.job", batch_id, &[]);
             if jspan.id().is_some() {
-                jspan.label("key", &job.cache_key().id());
+                jspan.label("key", &keys[i].id());
                 jspan.label("label", &job.label());
                 jspan.label("seq", &seqs[i].to_string());
             }
-            let io_fault = self.fault.io_fires(seqs[i]);
-            let mut probe = self
-                .cache
-                .as_ref()
-                .map(|_| mbuf.open("exec.cache.probe", jspan.id(), &[]));
-            let hit = if self.policy.reads() && !io_fault {
-                self.cache
-                    .as_ref()
-                    .and_then(|c| c.load::<J::Output>(&job.cache_key()))
-            } else {
-                None
-            };
-            if let Some(mut p) = probe.take() {
-                p.label("hit", if hit.is_some() { "true" } else { "false" });
-                mbuf.close(p);
-            }
-            match hit {
-                Some(out) => {
-                    self.hits.inc();
-                    if let Some(journal) = &self.journal {
-                        let jrn = mbuf.open("exec.journal.append", jspan.id(), &[]);
-                        let key = job.cache_key().id();
-                        if journal.was_job_completed(&key) {
-                            self.jobs_resumed.inc();
-                        }
-                        journal.record_job(&key, &job.label(), 0, "cached");
-                        mbuf.close(jrn);
-                    }
+            match self.probe(job, &keys[i], seqs[i], &mut mbuf, jspan.id()) {
+                Some((out, _resumed)) => {
                     jspan.label("outcome", "cached");
                     mbuf.close(jspan);
                     slots[i] = Some(Ok(out));
@@ -580,7 +569,7 @@ impl Executor {
             }
         }
 
-        self.queue_depth.set(pending.len() as i64);
+        self.m.queue_depth.set(pending.len() as i64);
         if self.workers <= 1 || pending.len() <= 1 {
             for &i in &pending {
                 let jspan = job_spans[i]
@@ -588,13 +577,15 @@ impl Executor {
                     .unwrap_or_else(|e| e.into_inner())
                     .take();
                 let jid = jspan.as_ref().map_or(SpanId::NONE, OpenSpan::id);
-                let res = self.run_job(&jobs[i], seqs[i], None, &mut mbuf, jid);
+                let cancel_at = self.deadline.map(|d| Instant::now() + d);
+                let res =
+                    self.run_job(&jobs[i], &keys[i], seqs[i], cancel_at, None, &mut mbuf, jid);
                 if let Some(mut js) = jspan {
                     js.label("outcome", job_outcome(&res));
                     mbuf.close(js);
                 }
                 slots[i] = Some(res);
-                self.queue_depth.add(-1);
+                self.m.queue_depth.add(-1);
             }
         } else {
             let workers = self.workers.min(pending.len());
@@ -609,13 +600,14 @@ impl Executor {
                     let queue = &queue;
                     let watch = &watch;
                     let seqs = &seqs;
+                    let keys = &keys;
                     let job_spans = &job_spans;
                     scope.spawn(move || {
                         let mut sbuf = self.spans.buffer(&format!("worker-{w}"));
                         loop {
                             let next = queue.lock().unwrap_or_else(|e| e.into_inner()).pop_front();
                             let Some(i) = next else { break };
-                            self.queue_depth.add(-1);
+                            self.m.queue_depth.add(-1);
                             // Take over the job span opened at submission;
                             // the gap between its start and now is the
                             // queue wait.
@@ -636,7 +628,16 @@ impl Executor {
                             slot.started
                                 .store(epoch.elapsed().as_nanos() as u64 + 1, Ordering::Relaxed);
                             let jid = jspan.as_ref().map_or(SpanId::NONE, OpenSpan::id);
-                            let res = self.run_job(&jobs[i], seqs[i], Some(slot), &mut sbuf, jid);
+                            let cancel_at = self.deadline.map(|d| Instant::now() + d);
+                            let res = self.run_job(
+                                &jobs[i],
+                                &keys[i],
+                                seqs[i],
+                                cancel_at,
+                                Some(slot),
+                                &mut sbuf,
+                                jid,
+                            );
                             slot.done.store(true, Ordering::Relaxed);
                             if let Some(mut js) = jspan {
                                 js.label("outcome", job_outcome(&res));
@@ -669,7 +670,7 @@ impl Executor {
                                     && now.saturating_sub(started - 1) > budget
                                     && !slot.timed_out.swap(true, Ordering::Relaxed)
                                 {
-                                    self.timeouts.inc();
+                                    self.m.timeouts.inc();
                                 }
                             }
                             std::thread::sleep(Duration::from_millis(1));
@@ -684,7 +685,7 @@ impl Executor {
                 merging_done.store(true, Ordering::Relaxed);
             });
         }
-        self.queue_depth.set(0);
+        self.m.queue_depth.set(0);
         mbuf.close(batch_span);
         mbuf.flush();
 
@@ -696,7 +697,7 @@ impl Executor {
                 // never a pool-crashing expect.
                 s.unwrap_or_else(|| {
                     Err(JobError {
-                        key: jobs[i].cache_key().id(),
+                        key: keys[i].id(),
                         label: jobs[i].label(),
                         attempts: 0,
                         kind: JobErrorKind::Panicked,
@@ -707,30 +708,109 @@ impl Executor {
             .collect()
     }
 
+    /// Runs one job through the same probe → execute → store → journal
+    /// path a batch runs per job, on the calling thread: the entry point
+    /// for callers that schedule jobs themselves (the serve workers).
+    ///
+    /// `key` must be `job.cache_key()`, computed once by the caller.
+    /// `deadline` arms cooperative cancellation at that instant (a job
+    /// abandoned there returns [`JobErrorKind::TimedOut`]); a job that
+    /// finishes after it still returns its output. Unlike a batch, the
+    /// fault sequence advances only for jobs that execute, so a fault
+    /// plan's `every Nth` counts executions; an `io` fault at the number
+    /// the job would execute under forces the miss.
+    ///
+    /// # Errors
+    ///
+    /// Returns the job's [`JobError`] when it panicked or was cancelled.
+    pub fn run_one<J: Job>(
+        &self,
+        job: &J,
+        key: &CacheKey,
+        deadline: Option<Instant>,
+    ) -> Result<JobRun<J::Output>, JobError> {
+        self.m.submitted.inc();
+        let mut sbuf = self.spans.buffer("main");
+        let next = self.fault_seq.load(Ordering::Relaxed);
+        if let Some((output, resumed)) = self.probe(job, key, next, &mut sbuf, SpanId::NONE) {
+            return Ok(JobRun {
+                output,
+                cached: true,
+                resumed,
+            });
+        }
+        let seq = self.fault_seq.fetch_add(1, Ordering::Relaxed);
+        let output = self.run_job(job, key, seq, deadline, None, &mut sbuf, SpanId::NONE)?;
+        Ok(JobRun {
+            output,
+            cached: false,
+            resumed: false,
+        })
+    }
+
+    /// Answers one job from the cache when the read policy and the `io`
+    /// fault plan allow, counting the hit and journaling it as `cached`.
+    /// Returns the output and whether a resumed journal had already
+    /// completed the key. Emits probe / journal spans under `parent`.
+    fn probe<J: Job>(
+        &self,
+        job: &J,
+        key: &CacheKey,
+        seq: u64,
+        sbuf: &mut SpanBuffer,
+        parent: SpanId,
+    ) -> Option<(J::Output, bool)> {
+        let cache = self.cache.as_ref()?;
+        let mut pspan = sbuf.open("exec.cache.probe", parent, &[]);
+        let hit = if self.policy.reads() && !self.fault.io_fires(seq) {
+            cache.load::<J::Output>(key)
+        } else {
+            None
+        };
+        pspan.label("hit", if hit.is_some() { "true" } else { "false" });
+        sbuf.close(pspan);
+        let out = hit?;
+        self.m.hits.inc();
+        let mut resumed = false;
+        if let Some(journal) = &self.journal {
+            let jrn = sbuf.open("exec.journal.append", parent, &[]);
+            let id = key.id();
+            resumed = journal.was_job_completed(&id);
+            if resumed {
+                self.m.jobs_resumed.inc();
+            }
+            journal.record_job(&id, &job.label(), 0, "cached");
+            sbuf.close(jrn);
+        }
+        Some((out, resumed))
+    }
+
     /// Runs one job to completion: the attempt/retry loop, deadline
     /// accounting, journaling, and (on success) the cache store. Emits
     /// attempt / journal / cache-store child spans under `parent` (the
-    /// job span) into `sbuf`.
+    /// job span) into `sbuf`. `cancel_at` arms cooperative cancellation;
+    /// the executor's own deadline additionally flags late results.
+    #[allow(clippy::too_many_arguments)]
     fn run_job<J: Job>(
         &self,
         job: &J,
+        key: &CacheKey,
         seq: u64,
+        cancel_at: Option<Instant>,
         watch: Option<&WatchSlot>,
         sbuf: &mut SpanBuffer,
         parent: SpanId,
     ) -> Result<J::Output, JobError> {
-        let key = job.cache_key();
         let label = job.label();
         let start = Instant::now();
         // Cooperative cancellation: arm the ambient deadline token so a
         // cancellation-aware job body abandons itself (releasing this
         // worker) instead of merely being flagged by the watchdog.
-        let _cancel_guard = match (self.deadline, self.cancel_every) {
-            (Some(d), every) if every > 0 => Some(cancel::arm(start + d, every)),
-            _ => None,
-        };
+        let _cancel_guard = cancel_at
+            .filter(|_| self.cancel_every > 0)
+            .map(|at| cancel::arm(at, self.cancel_every));
         let tag = sbuf.tag().to_string();
-        self.inflight.add(1);
+        self.m.inflight.add(1);
         let mut attempt = 1u32;
         let mut result = loop {
             let mut aspan = sbuf.open("exec.attempt", parent, &[]);
@@ -756,7 +836,7 @@ impl Executor {
                         sbuf.close(aspan);
                         if let Some(slot) = watch {
                             if !slot.timed_out.swap(true, Ordering::Relaxed) {
-                                self.timeouts.inc();
+                                self.m.timeouts.inc();
                             }
                         }
                         break Err(JobError {
@@ -767,7 +847,7 @@ impl Executor {
                             message,
                         });
                     }
-                    self.panics_caught.inc();
+                    self.m.panics_caught.inc();
                     // Fault provenance rides on the attempt span: the
                     // panic message, and whether it was chaos-injected.
                     if aspan.id().is_some() {
@@ -779,8 +859,8 @@ impl Executor {
                     }
                     let overdue = self.is_overdue(watch, start);
                     if !overdue && self.retry.allows_retry(attempt) {
-                        self.retries.inc();
-                        let backoff = self.retry.backoff(attempt, &key);
+                        self.m.retries.inc();
+                        let backoff = self.retry.backoff(attempt, key);
                         if aspan.id().is_some() {
                             aspan.label("backoff_ms", &backoff.as_millis().to_string());
                         }
@@ -805,7 +885,7 @@ impl Executor {
             // Inline path counts here; the watchdog already counted for
             // the parallel path when it flagged the slot.
             if watch.is_none() {
-                self.timeouts.inc();
+                self.m.timeouts.inc();
             }
             let deadline_ms = self.deadline.map(|d| d.as_millis()).unwrap_or(0);
             result = Err(JobError {
@@ -817,7 +897,7 @@ impl Executor {
             });
         }
 
-        self.attempts_hist.record(attempt as u64);
+        self.m.attempts_hist.record(attempt as u64);
         if let Some(journal) = &self.journal {
             let jrn = sbuf.open("exec.journal.append", parent, &[]);
             let outcome = match &result {
@@ -834,17 +914,16 @@ impl Executor {
                     // future re-execution, not correctness; count it and
                     // move on.
                     let mut ssp = sbuf.open("exec.cache.store", parent, &[]);
-                    let failed =
-                        self.fault.io_fires(seq) || cache.store(&key, &label, out).is_err();
+                    let failed = self.fault.io_fires(seq) || cache.store(key, &label, out).is_err();
                     if failed {
-                        self.store_errors.inc();
+                        self.m.store_errors.inc();
                         ssp.label("error", "true");
                     }
                     sbuf.close(ssp);
                 }
             }
         }
-        self.inflight.add(-1);
+        self.m.inflight.add(-1);
         result
     }
 
@@ -877,13 +956,13 @@ impl Executor {
             job.execute()
         }));
         IN_JOB.with(|f| f.set(false));
-        self.job_nanos.record(start.elapsed().as_nanos() as u64);
+        self.m.job_nanos.record(start.elapsed().as_nanos() as u64);
         match outcome {
             Ok(out) => {
-                self.executed.inc();
+                self.m.executed.inc();
                 Ok(out)
             }
-            Err(payload) => Err(payload_message(payload.as_ref())),
+            Err(payload) => Err(panic_message(payload.as_ref())),
         }
     }
 

@@ -425,6 +425,68 @@ fn io_faults_skip_the_cache_and_count_store_errors() {
 }
 
 #[test]
+fn run_one_shares_the_batch_probe_store_and_journal() {
+    install_quiet_panic_hook();
+    let dir = tmp_dir("run-one");
+    let open = |fault: &str| {
+        Executor::sequential()
+            .with_cache(dir.join("cache"), CachePolicy::ReadWrite)
+            .unwrap()
+            .with_journal(Arc::new(RunJournal::resume(dir.join("journal")).unwrap()))
+            .with_fault_plan(FaultPlan::parse(fault).unwrap())
+    };
+    let job = Square {
+        seed: 7,
+        boom: false,
+    };
+    let key = job.cache_key();
+
+    // io:2 faults the second execution: a cold miss, then a probe that
+    // misses the warm entry and fails its store, then a hit.
+    let exec = open("io:2");
+    for cached in [false, false, true] {
+        let run = exec.run_one(&job, &key, None).unwrap();
+        assert_eq!((run.output, run.cached, run.resumed), (49, cached, false));
+    }
+    let r = exec.report();
+    assert_eq!((r.submitted, r.executed, r.cache_hits), (3, 2, 1));
+    assert_eq!(r.cache_store_errors, 1);
+
+    // A resumed journal books the warm hit as resumed work, and the
+    // fault sequence counts executions only: the hit leaves `panic:1`
+    // armed for the next executed job.
+    let resumed = open("panic:1");
+    let hit = resumed.run_one(&job, &key, None).unwrap();
+    assert_eq!((hit.cached, hit.resumed), (true, true));
+    let other = Square {
+        seed: 8,
+        boom: false,
+    };
+    let err = resumed
+        .run_one(&other, &other.cache_key(), None)
+        .unwrap_err();
+    assert_eq!(err.kind, JobErrorKind::Panicked);
+    assert_eq!(err.key, other.cache_key().id());
+    assert!(err.message.starts_with(cestim_exec::INJECTED_PANIC_PREFIX));
+    assert_eq!(resumed.report().jobs_resumed, 1);
+    let lines = std::fs::read_to_string(dir.join("journal").join("run.jsonl")).unwrap();
+    assert!(lines.contains(r#""attempt":0,"outcome":"cached""#));
+    assert!(lines.contains(r#""attempt":1,"outcome":"panicked""#));
+
+    // The deadline arms cooperative cancellation; nothing is cached.
+    let spin = Spin { seed: 0 };
+    let deadline = std::time::Instant::now() + Duration::from_millis(40);
+    let err = exec
+        .run_one(&spin, &spin.cache_key(), Some(deadline))
+        .unwrap_err();
+    assert_eq!(err.kind, JobErrorKind::TimedOut);
+    assert!(cestim_obs::cancel::is_cancel_panic(&err.message));
+    let cache = cestim_exec::DiskCache::open(dir.join("cache")).unwrap();
+    assert!(cache.load::<u64>(&spin.cache_key()).is_none());
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+#[test]
 fn journal_resume_skips_completed_jobs() {
     let cache_dir = tmp_dir("resume-cache");
     let journal_dir = tmp_dir("resume-journal");

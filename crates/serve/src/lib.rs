@@ -13,11 +13,11 @@
 //! * [`sched`] — admission control: cache-key-range sharding across
 //!   worker groups, and per-client weighted fair queuing (deficit
 //!   round-robin) with bounded depth and explicit backpressure.
-//! * [`server`] — the engine front end: shard workers, warm-result
-//!   serving from the content-addressed [`cestim_exec::DiskCache`],
-//!   `catch_unwind` job isolation, journaling, `serve.*` metrics and
-//!   spans, scheduled stale-cache sweeps, and the TCP / in-process
-//!   client surfaces.
+//! * [`server`] — the engine front end: shard workers running each
+//!   ticket through one [`cestim_exec::Executor`] (warm-cache serving,
+//!   isolated execution and journaling, the same code `repro` runs per
+//!   job), `serve.*` metrics and spans, scheduled stale-cache sweeps,
+//!   and the TCP / in-process client surfaces.
 //! * [`overload`] — overload control: load-shedding hysteresis over
 //!   queue-depth/p99 watermarks and per-client circuit breakers (the
 //!   failure model in docs/SERVING.md).

@@ -2,12 +2,13 @@
 //! warm-cache result serving, and the TCP/in-process front ends.
 //!
 //! One worker thread per shard pops tickets from its [`DrrQueue`] and
-//! runs them: probe the shared content-addressed [`DiskCache`] first
-//! (warm hit → replay the stored `JobOutput` without simulating), else
-//! execute the [`ExecJob`] under `catch_unwind` isolation and store the
-//! result. Every step is journaled ([`RunJournal`]), counted (`serve.*`
-//! metrics), and spanned (`serve.queue_wait` / `serve.request`), so the
-//! existing Prometheus/Perfetto exporters work unchanged.
+//! runs each through the server's one [`Executor`]
+//! ([`Executor::run_one`]): the same cache probe, isolated and
+//! cooperatively cancellable execution, cache store, and journal line
+//! that `repro` runs per job. The server adds only its own policy:
+//! deadline rejection at dequeue, breakers, journal rotation, the
+//! `serve.*` metrics, and the `serve.queue_wait` / `serve.request` spans,
+//! so the existing Prometheus/Perfetto exporters work unchanged.
 //!
 //! Clients stream responses in admission order per request: `accepted`
 //! (or `rejected` under backpressure), `started` with the measured
@@ -19,11 +20,10 @@ use crate::protocol::{
     REASON_BREAKER_OPEN, REASON_DEADLINE, REASON_QUEUE_FULL, REASON_SHEDDING, REASON_SHUTTING_DOWN,
 };
 use crate::sched::{shard_of, DrrQueue, Ticket};
-use cestim_exec::{DiskCache, FaultPlan, Job, RunJournal};
-use cestim_obs::cancel;
+use cestim_exec::{CachePolicy, Executor, FaultPlan, Job, JobErrorKind, RunJournal};
 use cestim_obs::span2::{SpanBuffer, SpanCollector, SpanId};
 use cestim_obs::{Counter, Gauge, Histogram, Registry};
-use cestim_sim::{sim_schema_salt, JobOutput};
+use cestim_sim::sim_schema_salt;
 use serde::Value;
 use std::io::{self, BufRead, BufReader, BufWriter, Read, Write};
 use std::net::{TcpListener, TcpStream};
@@ -58,11 +58,9 @@ pub struct ServeConfig {
     /// Rotate the run journal once it exceeds this many bytes
     /// (0 = never rotate).
     pub journal_max_bytes: u64,
-    /// Poll interval (simulator cycles) for cooperative cancellation of
-    /// requests that outlive their deadline mid-execution (0 disables).
-    pub cancel_check_every: u64,
-    /// Chaos-injection plan applied to job execution (worker crashes /
-    /// slowdowns), for resilience testing. Defaults to none.
+    /// Chaos-injection plan applied to job execution (worker crashes,
+    /// slowdowns, cache I/O failures), for resilience testing; counted
+    /// in executed jobs. Defaults to none.
     pub fault: FaultPlan,
 }
 
@@ -79,7 +77,6 @@ impl Default for ServeConfig {
             shed: ShedConfig::default(),
             breaker: BreakerConfig::default(),
             journal_max_bytes: 1 << 24,
-            cancel_check_every: cancel::DEFAULT_CHECK_EVERY,
             fault: FaultPlan::none(),
         }
     }
@@ -143,17 +140,14 @@ struct Shard {
 
 struct Inner {
     cfg: ServeConfig,
-    cache: Option<DiskCache>,
-    journal: Option<RunJournal>,
+    /// Runs every ticket: cache, journal, and fault plan live here.
+    exec: Executor,
     shards: Vec<Shard>,
     registry: Registry,
     spans: SpanCollector,
     shutdown: AtomicBool,
     seq: AtomicU64,
     gc_tick: AtomicU64,
-    /// Deterministic sequence for the server-side chaos fault plan,
-    /// advanced once per executed (uncached) job.
-    fault_seq: AtomicU64,
     gate: OverloadGate,
     breakers: Breakers,
     waits: WaitWindow,
@@ -346,8 +340,10 @@ impl Inner {
     /// Sweeps cache entries whose schema salt no longer matches the
     /// current simulation schema; returns how many were removed.
     fn run_gc(&self) -> u64 {
-        let Some(cache) = &self.cache else { return 0 };
-        let removed = cache.evict_stale(sim_schema_salt()).unwrap_or(0) as u64;
+        if self.cfg.cache_dir.is_none() {
+            return 0;
+        }
+        let removed = self.exec.evict_stale(sim_schema_salt()) as u64;
         self.m.gc_sweeps.inc();
         self.m.gc_removed.add(removed);
         removed
@@ -372,7 +368,7 @@ impl Inner {
             "breaker_rejected": self.m.breaker_rejected.get(),
             "breakers_open": self.breakers.open_count() as u64,
             "recovered": self.m.recovered.get(),
-            "journal_prior_jobs": self.journal.as_ref().map_or(0, |j| j.prior_job_count() as u64),
+            "journal_prior_jobs": self.exec.journal().map_or(0, |j| j.prior_job_count() as u64),
             "journal_rotations": self.m.journal_rotations.get(),
             "degraded": self.m.degraded.get(),
         })
@@ -386,9 +382,10 @@ impl Inner {
     }
 
     /// Executes one popped ticket: queue-wait accounting, the
-    /// deadline-at-dequeue check, cache probe, isolated (and
-    /// cooperatively cancellable) execution, journaling, breaker
-    /// bookkeeping, and the terminal response.
+    /// deadline-at-dequeue check, the executor run (cache probe,
+    /// isolated and cooperatively cancellable execution, store, and
+    /// journal line), journal rotation, breaker bookkeeping, and the
+    /// terminal response.
     fn handle(&self, ticket: Ticket, shard: usize, sbuf: &mut SpanBuffer) {
         let wait_nanos = u64::try_from(ticket.enqueued.elapsed().as_nanos()).unwrap_or(u64::MAX);
         self.m.queue_wait.record(wait_nanos);
@@ -431,82 +428,32 @@ impl Inner {
             SpanId::NONE,
             &[("client", &ticket.client), ("shard", &shard_tag)],
         );
-        let cached_output: Option<JobOutput> = self
-            .cache
-            .as_ref()
-            .and_then(|cache| cache.load(&ticket.key));
-        let cached = cached_output.is_some();
-        if cached {
-            // Crash recovery: a warm hit for a key the resumed journal
-            // already completed is work a previous incarnation did —
-            // count it as recovered rather than merely cached.
-            if self
-                .journal
-                .as_ref()
-                .is_some_and(|j| j.was_job_completed(&ticket.key.id()))
-            {
-                self.m.recovered.inc();
-            }
+        let run = self.exec.run_one(
+            &ticket.job,
+            &ticket.key,
+            ticket.deadline.map(|d| ticket.enqueued + d),
+        );
+        let cached = run.as_ref().is_ok_and(|r| r.cached);
+        // Crash recovery: a warm hit for a key the resumed journal
+        // already completed is work a previous incarnation did — count
+        // it as recovered rather than merely cached.
+        if run.as_ref().is_ok_and(|r| r.resumed) {
+            self.m.recovered.inc();
         }
-        let mut cancelled = false;
-        let outcome: Result<Value, String> = match cached_output {
-            Some(output) => Ok(serde::to_value(&output)),
-            None => {
-                // Arm the cooperative deadline for the remaining budget
-                // so an overdue simulation abandons itself and releases
-                // this worker (see cestim_obs::cancel).
-                let _guard = match (ticket.deadline, self.cfg.cancel_check_every) {
-                    (Some(d), every) if every > 0 => Some(cancel::arm(ticket.enqueued + d, every)),
-                    _ => None,
-                };
-                let fseq = self.fault_seq.fetch_add(1, Ordering::Relaxed);
-                let run = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                    // Server-side chaos injection (worker crash / slow
-                    // worker), deterministic in execution sequence.
-                    if let Some(ms) = self.cfg.fault.slow_fires(fseq, 1) {
-                        thread::sleep(Duration::from_millis(ms));
-                    }
-                    if self.cfg.fault.panic_fires(fseq, 1) {
-                        panic!("{}", FaultPlan::panic_message(fseq));
-                    }
-                    ticket.job.execute()
-                }));
-                match run {
-                    Ok(output) => {
-                        if let Some(cache) = &self.cache {
-                            let _ = cache.store(&ticket.key, &ticket.job.label(), &output);
-                        }
-                        Ok(serde::to_value(&output))
-                    }
-                    Err(payload) => {
-                        let message = panic_message(payload.as_ref());
-                        cancelled = cancel::is_cancel_panic(&message);
-                        Err(message)
-                    }
-                }
-            }
-        };
         span.label("cached", if cached { "true" } else { "false" });
         span.label(
             "outcome",
-            match (&outcome, cancelled) {
-                (Ok(_), _) => "ok",
-                (Err(_), true) => "cancelled",
-                (Err(_), false) => "panicked",
+            match &run {
+                Ok(_) => "ok",
+                Err(e) if e.kind == JobErrorKind::TimedOut => "cancelled",
+                Err(_) => "panicked",
             },
         );
         sbuf.close(span);
 
-        if let Some(journal) = &self.journal {
-            let state = match (&outcome, cached, cancelled) {
-                (Ok(_), true, _) => "cached",
-                (Ok(_), false, _) => "ok",
-                (Err(_), _, true) => "timed-out",
-                (Err(_), _, false) => "panicked",
-            };
-            journal.record_job(&ticket.key.id(), &ticket.job.label(), 1, state);
-            // Bound journal growth under long-lived serving: rotate the
-            // active file aside once it crosses the size threshold.
+        // Bound journal growth under long-lived serving: rotate the
+        // active file aside once it crosses the size threshold.
+        if let Some(journal) = self.exec.journal() {
             if self.cfg.journal_max_bytes > 0
                 && journal.size_bytes() > self.cfg.journal_max_bytes
                 && journal.rotate().is_ok()
@@ -517,8 +464,8 @@ impl Inner {
 
         let elapsed_nanos = u64::try_from(ticket.enqueued.elapsed().as_nanos()).unwrap_or(u64::MAX);
         self.m.request_nanos.record(elapsed_nanos);
-        match outcome {
-            Ok(payload) => {
+        match run {
+            Ok(run) => {
                 if cached {
                     self.m.cache_hits.inc();
                 } else {
@@ -529,10 +476,10 @@ impl Inner {
                     id: ticket.id,
                     cached,
                     elapsed_nanos,
-                    payload,
+                    payload: serde::to_value(&run.output),
                 });
             }
-            Err(message) if cancelled => {
+            Err(e) if e.kind == JobErrorKind::TimedOut => {
                 // A deadline overrun is the client's budget expiring,
                 // not a faulty job: it does not trip the breaker.
                 self.m.failures.inc();
@@ -540,10 +487,10 @@ impl Inner {
                 let _ = ticket.reply.send(Response::Error {
                     id: Some(ticket.id),
                     code: ErrorCode::Deadline.as_str().to_string(),
-                    message,
+                    message: e.message,
                 });
             }
-            Err(message) => {
+            Err(e) => {
                 self.m.failures.inc();
                 if self.breakers.record_failure(&ticket.client, Instant::now()) {
                     self.m.breaker_opened.inc();
@@ -551,7 +498,7 @@ impl Inner {
                 let _ = ticket.reply.send(Response::Error {
                     id: Some(ticket.id),
                     code: ErrorCode::Execution.as_str().to_string(),
-                    message,
+                    message: e.message,
                 });
             }
         }
@@ -567,17 +514,6 @@ fn recover_id(bytes: &[u8]) -> Option<String> {
     let text = std::str::from_utf8(bytes).ok()?;
     let value: Value = serde_json::from_str(text.trim()).ok()?;
     Some(value.get("id")?.as_str()?.to_string())
-}
-
-/// Extracts a readable message from a caught panic payload.
-fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
-    if let Some(s) = payload.downcast_ref::<&str>() {
-        (*s).to_string()
-    } else if let Some(s) = payload.downcast_ref::<String>() {
-        s.clone()
-    } else {
-        "job panicked".to_string()
-    }
 }
 
 fn worker_loop(inner: Arc<Inner>, shard_idx: usize) {
@@ -637,12 +573,18 @@ impl Server {
         registry: Registry,
         spans: SpanCollector,
     ) -> io::Result<Server> {
-        let cache = cfg.cache_dir.clone().map(DiskCache::open).transpose()?;
-        let journal = cfg
-            .journal_dir
-            .clone()
-            .map(RunJournal::resume)
-            .transpose()?;
+        // One worker runs one job at a time; retries stay off and spans
+        // stay disabled (an ambient span context would switch on the
+        // simulator's per-phase profiling under a traced server).
+        let mut exec = Executor::sequential()
+            .with_registry(&registry)
+            .with_fault_plan(cfg.fault);
+        if let Some(dir) = &cfg.cache_dir {
+            exec = exec.with_cache(dir, CachePolicy::ReadWrite)?;
+        }
+        if let Some(dir) = &cfg.journal_dir {
+            exec = exec.with_journal(Arc::new(RunJournal::resume(dir)?));
+        }
         let groups = cfg.groups.max(1);
         let shards = (0..groups)
             .map(|_| Shard {
@@ -655,15 +597,13 @@ impl Server {
         let breakers = Breakers::new(cfg.breaker.clone());
         let inner = Arc::new(Inner {
             cfg,
-            cache,
-            journal,
+            exec,
             shards,
             registry,
             spans,
             shutdown: AtomicBool::new(false),
             seq: AtomicU64::new(0),
             gc_tick: AtomicU64::new(0),
-            fault_seq: AtomicU64::new(0),
             gate,
             breakers,
             waits: WaitWindow::new(),

@@ -6,7 +6,7 @@
 use cestim_exec::FaultPlan;
 use cestim_serve::protocol::{REASON_BREAKER_OPEN, REASON_DEADLINE, REASON_SHEDDING};
 use cestim_serve::{
-    BreakerConfig, InProcClient, Request, Response, ServeConfig, Server, ShedConfig,
+    BreakerConfig, InProcClient, Request, RequestLimits, Response, ServeConfig, Server, ShedConfig,
 };
 use cestim_sim::{EstimatorSpec, ExecJob, PredictorKind, RunConfig};
 use cestim_workloads::WorkloadKind;
@@ -29,10 +29,15 @@ fn quick_job(n: u32) -> ExecJob {
     }
 }
 
+/// Scale of [`slow_job`]: m88ksim costs about 25 ms per scale unit in
+/// release, so the job runs for well over a second and a 50 ms deadline
+/// always lands mid-simulation. Above the default admission limit.
+const SLOW_SCALE: u32 = 64;
+
 /// A job slow enough to pin a worker for a while.
 fn slow_job() -> ExecJob {
     ExecJob::Run {
-        cfg: RunConfig::paper(WorkloadKind::M88ksim, 2, PredictorKind::McFarling),
+        cfg: RunConfig::paper(WorkloadKind::M88ksim, SLOW_SCALE, PredictorKind::McFarling),
         specs: vec![EstimatorSpec::jrs_paper()],
     }
 }
@@ -224,6 +229,10 @@ fn mid_execution_deadline_cancels_cooperatively_and_frees_the_worker() {
             high_pct: 0,
             ..ShedConfig::default()
         },
+        limits: RequestLimits {
+            max_scale: SLOW_SCALE,
+            ..RequestLimits::default()
+        },
         ..ServeConfig::default()
     })
     .unwrap();
@@ -250,6 +259,46 @@ fn mid_execution_deadline_cancels_cooperatively_and_frees_the_worker() {
     let s = stats(&client);
     assert_eq!(s["deadline_cancelled"].as_u64().unwrap(), 1);
     server.shutdown();
+}
+
+#[test]
+fn io_fault_forces_a_miss_and_counts_the_failed_store() {
+    let cache_dir = temp_dir("io");
+    // io:2 fails the cache read and store of every 2nd executed job.
+    let server = Server::start(ServeConfig {
+        groups: 1,
+        cache_dir: Some(cache_dir.clone()),
+        fault: FaultPlan {
+            io_every: 2,
+            ..FaultPlan::none()
+        },
+        ..ServeConfig::default()
+    })
+    .unwrap();
+    let client = server.client();
+    let job = quick_job(7);
+    // Cold miss (stored); then the faulted probe misses a warm entry and
+    // re-executes (its store fails); then the next probe hits.
+    for (id, expect_cached) in [("cold", false), ("faulted", false), ("warm", true)] {
+        client.send(run_request(id, "t", 0, job.clone()));
+        match await_terminal(&client, id) {
+            Response::Result { cached, .. } => assert_eq!(cached, expect_cached, "request `{id}`"),
+            other => panic!("request `{id}` should complete, got {other:?}"),
+        }
+    }
+    let s = stats(&client);
+    assert_eq!(s["executed"].as_u64().unwrap(), 2);
+    assert_eq!(s["cache_hits"].as_u64().unwrap(), 1);
+    assert_eq!(
+        server
+            .registry()
+            .snapshot()
+            .counter_value("exec.cache.store_errors"),
+        Some(1),
+        "the faulted store is counted"
+    );
+    server.shutdown();
+    let _ = std::fs::remove_dir_all(&cache_dir);
 }
 
 #[test]

@@ -18,7 +18,7 @@ use crate::spec::{SatVariantSpec, TuneTargetSpec};
 use crate::{pct, EstimatorSpec, PredictorKind, RunConfig, Table};
 use cestim_core::diagnostic::ParametricCurve;
 use cestim_core::{mean_quadrant, MetricSummary, Quadrant};
-use cestim_exec::{BatchFailure, Executor, JobError};
+use cestim_exec::{panic_message, BatchFailure, Executor, JobError};
 use cestim_pipeline::PipelineStats;
 use cestim_trace::{BoostAnalysis, ClusterAnalysis, DistanceHistogram, DistanceSeries};
 use cestim_workloads::WorkloadKind;
@@ -166,13 +166,7 @@ pub fn run_experiment_checked(
             },
             Err(other) => ExperimentFailure {
                 id: id.to_string(),
-                message: if let Some(s) = other.downcast_ref::<&str>() {
-                    (*s).to_string()
-                } else if let Some(s) = other.downcast_ref::<String>() {
-                    s.clone()
-                } else {
-                    "non-string panic payload".to_string()
-                },
+                message: panic_message(other.as_ref()),
                 errors: Vec::new(),
             },
         })),
@@ -278,12 +272,8 @@ pub fn fig1() -> ExperimentResult {
 // Table 1 — program characteristics
 // ---------------------------------------------------------------------------
 
-/// Table 1 over an explicit workload list (tests use subsets).
-pub fn table1_with(scale: u32, workloads: &[WorkloadKind]) -> ExperimentResult {
-    table1_on(&Executor::sequential(), scale, workloads)
-}
-
-/// Table 1 with simulation units submitted to `exec`.
+/// Table 1 over an explicit workload list, with simulation units
+/// submitted to `exec`.
 pub fn table1_on(exec: &Executor, scale: u32, workloads: &[WorkloadKind]) -> ExperimentResult {
     let mut t = Table::new(
         "Table 1: program characteristics",
@@ -365,12 +355,8 @@ pub fn table1_on(exec: &Executor, scale: u32, workloads: &[WorkloadKind]) -> Exp
 // Table 2 — four estimators × three predictors
 // ---------------------------------------------------------------------------
 
-/// Table 2 over an explicit workload list.
-pub fn table2_with(scale: u32, workloads: &[WorkloadKind]) -> ExperimentResult {
-    table2_on(&Executor::sequential(), scale, workloads)
-}
-
-/// Table 2 with simulation units submitted to `exec`.
+/// Table 2 over an explicit workload list, with simulation units
+/// submitted to `exec`.
 pub fn table2_on(exec: &Executor, scale: u32, workloads: &[WorkloadKind]) -> ExperimentResult {
     let mut text = String::new();
     let mut jpred = Vec::new();
@@ -405,12 +391,8 @@ pub fn table2_on(exec: &Executor, scale: u32, workloads: &[WorkloadKind]) -> Exp
 // Figure 3 — enhanced vs base JRS
 // ---------------------------------------------------------------------------
 
-/// Figure 3 over an explicit workload list.
-pub fn fig3_with(scale: u32, workloads: &[WorkloadKind]) -> ExperimentResult {
-    fig3_on(&Executor::sequential(), scale, workloads)
-}
-
-/// Figure 3 with simulation units submitted to `exec`.
+/// Figure 3 over an explicit workload list, with simulation units
+/// submitted to `exec`.
 pub fn fig3_on(exec: &Executor, scale: u32, workloads: &[WorkloadKind]) -> ExperimentResult {
     let thresholds: Vec<u8> = (1..=16).collect();
     let mut specs = Vec::new();
@@ -455,17 +437,8 @@ pub fn fig3_on(exec: &Executor, scale: u32, workloads: &[WorkloadKind]) -> Exper
 // Figures 4 & 5 — JRS design space
 // ---------------------------------------------------------------------------
 
-/// Figures 4/5 over an explicit workload list.
-pub fn fig45_with(
-    scale: u32,
-    workloads: &[WorkloadKind],
-    predictor: PredictorKind,
-    id: &str,
-) -> ExperimentResult {
-    fig45_on(&Executor::sequential(), scale, workloads, predictor, id)
-}
-
-/// Figures 4/5 with simulation units submitted to `exec`.
+/// Figures 4/5 over an explicit workload list, with simulation units
+/// submitted to `exec`.
 pub fn fig45_on(
     exec: &Executor,
     scale: u32,
@@ -515,12 +488,8 @@ pub fn fig45_on(
 // Table 3 — BothStrong vs EitherStrong
 // ---------------------------------------------------------------------------
 
-/// Table 3 over an explicit workload list.
-pub fn table3_with(scale: u32, workloads: &[WorkloadKind]) -> ExperimentResult {
-    table3_on(&Executor::sequential(), scale, workloads)
-}
-
-/// Table 3 with simulation units submitted to `exec`.
+/// Table 3 over an explicit workload list, with simulation units
+/// submitted to `exec`.
 pub fn table3_on(exec: &Executor, scale: u32, workloads: &[WorkloadKind]) -> ExperimentResult {
     let specs = [
         EstimatorSpec::SatCtr {
@@ -613,24 +582,8 @@ fn histogram_rows(h: &DistanceHistogram) -> (Vec<(u64, f64, u64)>, f64) {
 /// Figures 6–9 over an explicit workload list: misprediction rate vs
 /// distance, `perceived` selecting resolution-time (Figs 8–9) rather than
 /// omniscient (Figs 6–7) reset points.
-pub fn distance_fig_with(
-    scale: u32,
-    workloads: &[WorkloadKind],
-    predictor: PredictorKind,
-    perceived: bool,
-    id: &str,
-) -> ExperimentResult {
-    distance_fig_on(
-        &Executor::sequential(),
-        scale,
-        workloads,
-        predictor,
-        perceived,
-        id,
-    )
-}
-
-/// Figures 6–9 with simulation units submitted to `exec`.
+///
+/// Simulation units are submitted to `exec`.
 pub fn distance_fig_on(
     exec: &Executor,
     scale: u32,
@@ -701,12 +654,8 @@ pub fn distance_fig_on(
 // Table 4 — the distance estimator
 // ---------------------------------------------------------------------------
 
-/// Table 4 over an explicit workload list.
-pub fn table4_with(scale: u32, workloads: &[WorkloadKind]) -> ExperimentResult {
-    table4_on(&Executor::sequential(), scale, workloads)
-}
-
-/// Table 4 with simulation units submitted to `exec`.
+/// Table 4 over an explicit workload list, with simulation units
+/// submitted to `exec`.
 pub fn table4_on(exec: &Executor, scale: u32, workloads: &[WorkloadKind]) -> ExperimentResult {
     let mut t = Table::new(
         "Table 4: misprediction distance as a confidence estimator",
@@ -767,12 +716,8 @@ pub fn table4_on(exec: &Executor, scale: u32, workloads: &[WorkloadKind]) -> Exp
 // §4.1 clustering of mis-estimations
 // ---------------------------------------------------------------------------
 
-/// Mis-estimation clustering (§4.1) over an explicit workload list.
-pub fn cluster_with(scale: u32, workloads: &[WorkloadKind]) -> ExperimentResult {
-    cluster_on(&Executor::sequential(), scale, workloads)
-}
-
-/// Clustering with simulation units submitted to `exec`.
+/// Mis-estimation clustering (§4.1) over an explicit workload list, with
+/// simulation units submitted to `exec`.
 pub fn cluster_on(exec: &Executor, scale: u32, workloads: &[WorkloadKind]) -> ExperimentResult {
     let configs: Vec<(PredictorKind, EstimatorSpec, &str)> = vec![
         (
@@ -846,11 +791,8 @@ pub fn cluster_on(exec: &Executor, scale: u32, workloads: &[WorkloadKind]) -> Ex
 /// vs the Bernoulli model `1 − (1 − PVN)^k`, plus the per-branch behaviour
 /// of the [`Boosted`](cestim_core::Boosted) estimator transform (whose
 /// coverage shrinks as k rises).
-pub fn boost_with(scale: u32, workloads: &[WorkloadKind]) -> ExperimentResult {
-    boost_on(&Executor::sequential(), scale, workloads)
-}
-
-/// Boosting with simulation units submitted to `exec`.
+///
+/// Simulation units are submitted to `exec`.
 pub fn boost_on(exec: &Executor, scale: u32, workloads: &[WorkloadKind]) -> ExperimentResult {
     let base = EstimatorSpec::SatCtr {
         variant: SatVariantSpec::Selected,
@@ -935,11 +877,8 @@ pub fn boost_on(exec: &Executor, scale: u32, workloads: &[WorkloadKind]) -> Expe
 
 /// Extension: the McFarling-structured JRS (§5 future work) vs the plain
 /// enhanced JRS, on the McFarling predictor, across thresholds.
-pub fn ext_jrsmcf_with(scale: u32, workloads: &[WorkloadKind]) -> ExperimentResult {
-    ext_jrsmcf_on(&Executor::sequential(), scale, workloads)
-}
-
-/// JRS/McFarling extension with simulation units submitted to `exec`.
+///
+/// Simulation units are submitted to `exec`.
 pub fn ext_jrsmcf_on(exec: &Executor, scale: u32, workloads: &[WorkloadKind]) -> ExperimentResult {
     let thresholds: [u8; 4] = [4, 8, 12, 15];
     let mut specs = Vec::new();
@@ -977,11 +916,8 @@ pub fn ext_jrsmcf_on(exec: &Executor, scale: u32, workloads: &[WorkloadKind]) ->
 
 /// Extension: correct/incorrect registers (Jacobsen et al.'s other
 /// one-level design) vs the resetting-counter JRS, on gshare.
-pub fn ext_cir_with(scale: u32, workloads: &[WorkloadKind]) -> ExperimentResult {
-    ext_cir_on(&Executor::sequential(), scale, workloads)
-}
-
-/// CIR extension with simulation units submitted to `exec`.
+///
+/// Simulation units are submitted to `exec`.
 pub fn ext_cir_on(exec: &Executor, scale: u32, workloads: &[WorkloadKind]) -> ExperimentResult {
     let specs = vec![
         EstimatorSpec::jrs_paper(),
@@ -1028,11 +964,8 @@ pub fn ext_cir_on(exec: &Executor, scale: u32, workloads: &[WorkloadKind]) -> Ex
 /// Extension: tuned static estimation (§5 future work) — pick thresholds
 /// meeting SPEC/PVN targets on the profile and verify the measured run
 /// lands on target.
-pub fn ext_tune_with(scale: u32, workloads: &[WorkloadKind]) -> ExperimentResult {
-    ext_tune_on(&Executor::sequential(), scale, workloads)
-}
-
-/// Tuning extension with simulation units submitted to `exec`.
+///
+/// Simulation units are submitted to `exec`.
 pub fn ext_tune_on(exec: &Executor, scale: u32, workloads: &[WorkloadKind]) -> ExperimentResult {
     let targets = [
         ("spec>=85%", TuneTargetSpec::MinSpec(0.85)),
@@ -1099,11 +1032,8 @@ pub fn ext_tune_on(exec: &Executor, scale: u32, workloads: &[WorkloadKind]) -> E
 /// Extension: confidence-driven SMT fetch arbitration, measured on the real
 /// two-thread [`SmtSimulator`](cestim_pipeline::SmtSimulator) — the paper's
 /// §1 motivating application, quantified.
-pub fn ext_smt_with(scale: u32, pairs: &[(WorkloadKind, WorkloadKind)]) -> ExperimentResult {
-    ext_smt_on(&Executor::sequential(), scale, pairs)
-}
-
-/// SMT extension with simulation units submitted to `exec`.
+///
+/// Simulation units are submitted to `exec`.
 pub fn ext_smt_on(
     exec: &Executor,
     scale: u32,
@@ -1168,11 +1098,8 @@ pub fn ext_smt_on(
 /// Extension: eager (dual-path) execution in the pipeline — fork both paths
 /// of a low-confidence branch; covered mispredictions skip the recovery
 /// penalty at the price of halved fetch bandwidth while forked.
-pub fn ext_eager_with(scale: u32, workloads: &[WorkloadKind]) -> ExperimentResult {
-    ext_eager_on(&Executor::sequential(), scale, workloads)
-}
-
-/// Eager-execution extension with simulation units submitted to `exec`.
+///
+/// Simulation units are submitted to `exec`.
 pub fn ext_eager_on(exec: &Executor, scale: u32, workloads: &[WorkloadKind]) -> ExperimentResult {
     use cestim_pipeline::PipelineConfig;
     let triggers = [
@@ -1256,11 +1183,8 @@ pub fn ext_eager_on(exec: &Executor, scale: u32, workloads: &[WorkloadKind]) -> 
 /// the profile on an alternative input (salt 1) and measures on the
 /// default input, quantifying the degradation — and compares against the
 /// self-profiled upper bound and the input-independent JRS.
-pub fn ext_xinput_with(scale: u32, workloads: &[WorkloadKind]) -> ExperimentResult {
-    ext_xinput_on(&Executor::sequential(), scale, workloads)
-}
-
-/// Cross-input extension with simulation units submitted to `exec`.
+///
+/// Simulation units are submitted to `exec`.
 pub fn ext_xinput_on(exec: &Executor, scale: u32, workloads: &[WorkloadKind]) -> ExperimentResult {
     let static_spec = EstimatorSpec::Static { threshold: 0.9 };
     let mut t = Table::new(
@@ -1355,11 +1279,8 @@ fn modern_estimators() -> Vec<EstimatorSpec> {
 /// Extension: modern predictor families (TAGE, hashed perceptron) under
 /// the paper's diagnostic metrics, with composite (voting) and timing
 /// confidence estimators alongside the paper's designs.
-pub fn ext_modern_with(scale: u32, workloads: &[WorkloadKind]) -> ExperimentResult {
-    ext_modern_on(&Executor::sequential(), scale, workloads)
-}
-
-/// Modern-family extension with simulation units submitted to `exec`.
+///
+/// Simulation units are submitted to `exec`.
 pub fn ext_modern_on(exec: &Executor, scale: u32, workloads: &[WorkloadKind]) -> ExperimentResult {
     let predictors = [
         PredictorKind::Gshare,
@@ -1399,11 +1320,8 @@ pub fn ext_modern_on(exec: &Executor, scale: u32, workloads: &[WorkloadKind]) ->
 /// family runs over every workload; each workload gets its best
 /// predictor and a predictability class, and the trace-replay path is
 /// cross-checked against the live pipeline for the modern families.
-pub fn ext_predictability_with(scale: u32, workloads: &[WorkloadKind]) -> ExperimentResult {
-    ext_predictability_on(&Executor::sequential(), scale, workloads)
-}
-
-/// Predictability extension with simulation units submitted to `exec`.
+///
+/// Simulation units are submitted to `exec`.
 pub fn ext_predictability_on(
     exec: &Executor,
     scale: u32,
@@ -1513,11 +1431,8 @@ pub fn ext_predictability_on(
 
 /// Per-application detail behind Table 2 (the paper reports means and
 /// points at its tech report for the full data; this regenerates it).
-pub fn table2_detail_with(scale: u32, workloads: &[WorkloadKind]) -> ExperimentResult {
-    table2_detail_on(&Executor::sequential(), scale, workloads)
-}
-
-/// Table 2 detail with simulation units submitted to `exec`.
+///
+/// Simulation units are submitted to `exec`.
 pub fn table2_detail_on(
     exec: &Executor,
     scale: u32,
@@ -1613,7 +1528,7 @@ mod tests {
 
     #[test]
     fn table2_small_has_expected_shape() {
-        let r = table2_with(1, SMALL);
+        let r = table2_on(&Executor::sequential(), 1, SMALL);
         let preds = r.json["predictors"].as_array().unwrap();
         assert_eq!(preds.len(), 3);
         for p in preds {
@@ -1624,7 +1539,7 @@ mod tests {
 
     #[test]
     fn fig3_enhanced_beats_base_on_pvp_at_matched_sens() {
-        let r = fig3_with(1, SMALL);
+        let r = fig3_on(&Executor::sequential(), 1, SMALL);
         let v = r.json["variants"].as_array().unwrap();
         assert_eq!(v[0]["variant"], "base");
         assert_eq!(v[1]["variant"], "enhanced");
@@ -1637,12 +1552,12 @@ mod tests {
     #[test]
     fn remaining_experiments_have_expected_shapes() {
         // table1: one row per workload plus the mean row.
-        let r = table1_with(1, SMALL);
+        let r = table1_on(&Executor::sequential(), 1, SMALL);
         assert_eq!(r.json["rows"].as_array().unwrap().len(), 1);
         assert!(r.text.contains("mean"));
 
         // table2-detail: 4 estimator rows per workload per predictor.
-        let r = table2_detail_with(1, SMALL);
+        let r = table2_detail_on(&Executor::sequential(), 1, SMALL);
         for p in r.json["predictors"].as_array().unwrap() {
             assert_eq!(p["rows"].as_array().unwrap().len(), 4);
         }
@@ -1651,7 +1566,13 @@ mod tests {
         // rises at fixed size (more selective HC set... PVP *rises*; check
         // monotone trend of SENS via spec json instead: PVN at t=16 equals
         // the misprediction rate is covered by fig3; here just shape).
-        let r = fig45_with(1, SMALL, PredictorKind::Gshare, "fig4");
+        let r = fig45_on(
+            &Executor::sequential(),
+            1,
+            SMALL,
+            PredictorKind::Gshare,
+            "fig4",
+        );
         let sizes = r.json["sizes"].as_array().unwrap();
         assert_eq!(sizes.len(), 4);
         for sz in sizes {
@@ -1664,35 +1585,39 @@ mod tests {
         assert!(pvp_large >= pvp_small - 0.01, "{pvp_large} vs {pvp_small}");
 
         // table4: 10 rows per predictor + the SAg pattern row.
-        let r = table4_with(1, SMALL);
+        let r = table4_on(&Executor::sequential(), 1, SMALL);
         assert_eq!(r.json["rows"].as_array().unwrap().len(), 21);
 
         // table3: per-workload rows + mean.
-        let r = table3_with(1, SMALL);
+        let r = table3_on(&Executor::sequential(), 1, SMALL);
         assert_eq!(r.json["rows"].as_array().unwrap().len(), 1);
         assert!(r.json["mean"]["both_strong"]["spec"].as_f64().unwrap() > 0.0);
     }
 
     #[test]
     fn extension_experiments_run_on_small_inputs() {
-        let r = ext_cir_with(1, SMALL);
+        let r = ext_cir_on(&Executor::sequential(), 1, SMALL);
         assert_eq!(r.json["rows"].as_array().unwrap().len(), 4);
-        let r = ext_jrsmcf_with(1, SMALL);
+        let r = ext_jrsmcf_on(&Executor::sequential(), 1, SMALL);
         assert_eq!(r.json["rows"].as_array().unwrap().len(), 8);
-        let r = ext_tune_with(1, SMALL);
+        let r = ext_tune_on(&Executor::sequential(), 1, SMALL);
         // Every SPEC target must be met (always reachable).
         for row in r.json["rows"].as_array().unwrap() {
             if row["target"].as_str().unwrap().starts_with("spec") {
                 assert_eq!(row["met"], true, "{row}");
             }
         }
-        let r = ext_smt_with(1, &[(WorkloadKind::Compress, WorkloadKind::Compress)]);
+        let r = ext_smt_on(
+            &Executor::sequential(),
+            1,
+            &[(WorkloadKind::Compress, WorkloadKind::Compress)],
+        );
         assert_eq!(r.json["rows"].as_array().unwrap().len(), 4);
     }
 
     #[test]
     fn ext_modern_covers_every_family_pair() {
-        let r = ext_modern_with(1, SMALL);
+        let r = ext_modern_on(&Executor::sequential(), 1, SMALL);
         let rows = r.json["rows"].as_array().unwrap();
         // 3 predictors x 5 estimators.
         assert_eq!(rows.len(), 15);
@@ -1719,7 +1644,7 @@ mod tests {
 
     #[test]
     fn ext_predictability_classifies_and_cross_checks_replay() {
-        let r = ext_predictability_with(1, SMALL);
+        let r = ext_predictability_on(&Executor::sequential(), 1, SMALL);
         let rows = r.json["rows"].as_array().unwrap();
         assert_eq!(rows.len(), 1);
         let row = &rows[0];
@@ -1737,7 +1662,8 @@ mod tests {
 
     #[test]
     fn distance_fig_small_runs() {
-        let r = distance_fig_with(
+        let r = distance_fig_on(
+            &Executor::sequential(),
             1,
             &[WorkloadKind::Gcc],
             PredictorKind::Gshare,
